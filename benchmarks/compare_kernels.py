@@ -1,11 +1,10 @@
-"""Compare the compiled contraction kernel against the numpy fallback.
+"""Time three posterior queries on random traces end to end.
 
-Runs the same sum-product workloads through both backends and reports
-median wall time plus the largest absolute disagreement.  Two kinds of
-workload are measured: synthetic single contractions shaped like the ones
-variable elimination issues (a handful of factors sharing one summed
-wire), and full posterior queries on random traces, where the backend is
-switched by flipping the dispatch flag between runs.
+Each case draws a random net and trace from the seeded generator, then
+times `run` on the trace followed by the marginal of the net's first place
+and the mass of the observations.  Next to the median time it prints the
+marginal, the mass and the realized width of the marginal query (the
+widest table the elimination produced).
 
 Usage: python3 benchmarks/compare_kernels.py [--repeats 5] [--seed 0]
 """
@@ -16,87 +15,11 @@ import time
 
 import numpy as np
 
-from pnbayes import kernels
 from pnbayes.randnet import random_trace
 from pnbayes.reason import run
 
-
-def _time(fn, repeats: int) -> float:
-    best = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best.append(time.perf_counter() - t0)
-    return float(np.median(best))
-
-
-def synthetic_case(rng: np.random.Generator, out_bits: int, factors: int,
-                   wires_each: int):
-    """Factors over random wire subsets, all containing the summed wire."""
-    tables, slots = [], []
-    for _ in range(factors):
-        own = rng.choice(out_bits, size=min(wires_each - 1, out_bits),
-                         replace=False)
-        sl = tuple(int(s) for s in own) + (out_bits,)
-        tables.append(rng.uniform(size=1 << len(sl)))
-        slots.append(sl)
-    return tables, slots
-
-
-def bench_contractions(args) -> None:
-    rng = np.random.default_rng(args.seed)
-    print(f"{'workload':<28}{'python ms':>12}{'compiled ms':>13}"
-          f"{'speedup':>9}{'max diff':>12}")
-    grid = [(8, 2, 6), (12, 2, 8), (16, 3, 10), (20, 2, 12), (22, 2, 14)]
-    for out_bits, factors, wires_each in grid:
-        tables, slots = synthetic_case(rng, out_bits, factors, wires_each)
-        ref = kernels._sum_product_numpy(tables, slots, out_bits)
-        t_py = _time(lambda: kernels._sum_product_numpy(tables, slots,
-                                                        out_bits),
-                     args.repeats)
-        if kernels._compiled is None:
-            print(f"{f'{factors}x{wires_each}w -> 2^{out_bits}':<28}"
-                  f"{t_py * 1e3:>12.3f}{'n/a':>13}{'':>9}{'':>12}")
-            continue
-        got = kernels._sum_product_compiled(tables, slots, out_bits)
-        t_c = _time(lambda: kernels._sum_product_compiled(tables, slots,
-                                                          out_bits),
-                    args.repeats)
-        diff = float(np.max(np.abs(ref - got)))
-        print(f"{f'{factors}x{wires_each}w -> 2^{out_bits}':<28}"
-              f"{t_py * 1e3:>12.3f}{t_c * 1e3:>13.3f}"
-              f"{t_py / t_c:>9.2f}{diff:>12.2e}")
-
-
-def bench_queries(args) -> None:
-    if kernels._compiled is None:
-        print("\ncompiled backend unavailable, skipping query comparison")
-        return
-    rng = np.random.default_rng(args.seed)
-    cases = [(20, 12, 10), (30, 14, 10), (40, 15, 10)]
-    print(f"\n{'posterior query':<28}{'python ms':>12}{'compiled ms':>13}"
-          f"{'speedup':>9}{'max diff':>12}")
-    for places, transitions, steps in cases:
-        trace = random_trace(rng, places, transitions, steps)
-        place = trace.net.places[0]
-
-        def query():
-            return run(trace).marginal([place]).data
-
-        saved = kernels._USE_COMPILED
-        try:
-            kernels._USE_COMPILED = False
-            ref = query()
-            t_py = _time(query, args.repeats)
-            kernels._USE_COMPILED = True
-            got = query()
-            t_c = _time(query, args.repeats)
-        finally:
-            kernels._USE_COMPILED = saved
-        diff = float(np.max(np.abs(ref - got)))
-        print(f"{f'{places}p {transitions}t {steps} steps':<28}"
-              f"{t_py * 1e3:>12.3f}{t_c * 1e3:>13.3f}"
-              f"{t_py / t_c:>9.2f}{diff:>12.2e}")
+# (places, transitions, steps) of each query case
+CASES = [(20, 12, 10), (30, 14, 10), (40, 15, 10)]
 
 
 def main() -> None:
@@ -104,9 +27,23 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    print(f"active backend: {kernels.backend_name()}")
-    bench_contractions(args)
-    bench_queries(args)
+    rng = np.random.default_rng(args.seed)
+    print(f"{'posterior query':<24}{'median ms':>11}{'marginal':>14}"
+          f"{'mass':>14}{'width':>7}")
+    for places, transitions, steps in CASES:
+        trace = random_trace(rng, places, transitions, steps)
+        place = trace.net.places[0]
+        times = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            posterior = run(trace)
+            marginal = posterior.marginal([place]).entry(1)
+            mass = posterior.mass()
+            times.append(time.perf_counter() - t0)
+        _, _, stats = posterior.query_stats([place])
+        print(f"{f'{places}p {transitions}t {steps} steps':<24}"
+              f"{float(np.median(times)) * 1e3:>11.1f}{marginal:>14.9f}"
+              f"{mass:>14.6e}{stats.max_factor_wires:>7d}")
 
 
 if __name__ == "__main__":

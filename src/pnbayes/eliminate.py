@@ -9,11 +9,13 @@ the order can force) is tracked alongside, together with the elimination
 graph, fill-in, the min-degree heuristic, tree-decomposition checking and
 the term-width calculus for compositional expressions.
 
-Three optimizations from the evaluation-scheduling playbook are available
-and used by the query layer: diagonal nodes merge their input/output wires
-into equivalence classes instead of doubling factor arity, node outputs
-that nobody reads are pre-summed at construction, and point-mass source
-nodes pin their wires to constants so factors shrink by slicing.
+The query path (``scheduled_eliminate``) always applies three rewrites
+from the evaluation-scheduling playbook: diagonal nodes merge their
+input/output wires into equivalence classes instead of doubling factor
+arity, node outputs that nobody reads are pre-summed at construction, and
+point-mass source nodes pin their wires to constants so factors shrink by
+slicing.  Runs over an explicit order (``run_elimination``) apply none of
+them, except the diagonal merge on request.
 
 Nodes whose factor would not fit in memory (sparse update matrices over
 many wires) are never tabulated.  The scheduler keeps them as matrices and
@@ -497,22 +499,10 @@ def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
         raise TooLarge(f"joined factor over {len(wires)} wires exceeds "
                        f"the 2^{MAX_FACTOR_BITS} guard")
     slot = {w: k for k, w in enumerate(wires)}
-    acc = None
-    for f in group:
-        sl = [slot[w] for w in f.wires]
-        axes = sorted(range(len(sl)), key=lambda a: sl[a])
-        view = f.table.reshape((2,) * len(sl))
-        if axes != list(range(len(sl))):
-            view = view.transpose(axes)
-        shape = [1] * len(wires)
-        for s in sl:
-            shape[s] = 2
-        view = view.reshape(shape)
-        acc = view if acc is None else acc * view
-    if acc is None:
-        return np.ones(1 << len(wires))
-    return np.ascontiguousarray(
-        np.broadcast_to(acc, (2,) * len(wires))).ravel()
+    product = kernels._broadcast_product(
+        [f.table for f in group],
+        [tuple(slot[w] for w in f.wires) for f in group], len(wires))
+    return np.ascontiguousarray(product).ravel()
 
 
 def _reduced_matrix(node: _LazyNode, pinned: dict[Wire, int]
@@ -750,13 +740,10 @@ def run_elimination(net: MBN, order: ElimOrder | Sequence[Wire],
     return run_elimination_stats(net, order, merge_diagonal)[0]
 
 
-def scheduled_eliminate(net: MBN, order: Sequence[Wire] | None = None,
-                        merge_diagonal: bool = True, fold: bool = True,
-                        pin: bool = True, bulk_bits: int = BULK_NODE_BITS
+def scheduled_eliminate(net: MBN, bulk_bits: int = BULK_NODE_BITS
                         ) -> tuple[TypedMatrix, ElimOrder, ElimStats]:
-    """The query path: fold dead outputs, merge diagonal wires, pin point
-    masses, then eliminate the internal wires by min-degree (or by the
-    caller-supplied order over the prepared problem's wires).
+    """The query path: always fold dead outputs, merge diagonal wires and
+    pin point masses, then eliminate the internal wires by min-degree.
 
     Nodes whose factor would span more than ``bulk_bits`` live wires are
     never tabulated.  When such a node exists, or when no tabulated
@@ -766,23 +753,9 @@ def scheduled_eliminate(net: MBN, order: Sequence[Wire] | None = None,
     then lists the wires in the sequence actually summed out and reports
     the realized width (the widest table the run produced).
     """
-    problem = _prepare(net, merge_diagonal, fold, pin, bulk_bits=bulk_bits)
+    problem = _prepare(net, merge_diagonal=True, fold=True, pin=True,
+                       bulk_bits=bulk_bits)
     stats = ElimStats()
-    if order is not None:
-        if problem.lazy:
-            raise TooLarge(
-                "an explicit order cannot eliminate nodes too large to "
-                "tabulate; raise bulk_bits or use the default schedule")
-        wires = tuple(order)
-        problems = _order_problems(wires, problem.internal)
-        if problems:
-            raise BadOrder("; ".join(problems))
-        plan = ElimOrder(wires, _replay_width(problem.vertices(),
-                                              problem.scopes(), wires))
-        for f in problem.factors:
-            stats.track(f.size)
-        left = _run(problem.factors, plan.wires, stats)
-        return _combine(problem, left), plan, stats
     if not problem.lazy:
         plan = _greedy_order(problem.vertices(), problem.scopes(),
                              problem.internal)
@@ -793,7 +766,7 @@ def scheduled_eliminate(net: MBN, order: Sequence[Wire] | None = None,
                 stats.track(f.size)
             left = _run(problem.factors, plan.wires, stats)
             return _combine(problem, left), plan, stats
-    problem = _prepare(net, merge_diagonal, fold, pin,
+    problem = _prepare(net, merge_diagonal=True, fold=True, pin=True,
                        bulk_bits=min(bulk_bits, GROUP_NODE_BITS))
     if problem.zero:
         return _combine(problem, []), ElimOrder((), 0), stats

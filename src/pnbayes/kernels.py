@@ -1,16 +1,14 @@
-"""Backend selection for the factor-contraction kernel.
+"""The factor-contraction kernel.
 
 Variable elimination spends essentially all its time on one operation:
-multiply the factors containing some wire and sum that wire out.  Two
-interchangeable implementations are provided, a compiled kernel that walks
-the output space in Gray-code order updating per-factor offsets
-incrementally, and a pure-numpy broadcast fallback.  The compiled kernel is
-picked at import when available; set ``PNBAYES_KERNEL=python`` or
-``PNBAYES_KERNEL=compiled`` to force a backend.
+multiply the factors containing some wire and sum that wire out.  Each
+factor table is viewed as an array over its bit axes, transposed into the
+slot order of the result and broadcast against the others, so numpy forms
+the product in one pass and sums the shared wire away.  The grouped joins
+of the elimination layer reuse the same broadcast product without the
+final sum.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -18,23 +16,6 @@ from .errors import TooLarge
 
 # Largest table materialized during a contraction: 2**26 doubles = 512 MiB.
 MAX_CONTRACT_BITS = 26
-
-try:
-    from . import _kernel as _compiled
-except ImportError:
-    _compiled = None
-
-_CHOICE = os.environ.get("PNBAYES_KERNEL", "auto").lower()
-if _CHOICE not in ("auto", "compiled", "python"):
-    raise ImportError(f"PNBAYES_KERNEL must be auto, compiled or python, "
-                      f"got {_CHOICE!r}")
-if _CHOICE == "compiled" and _compiled is None:
-    raise ImportError("PNBAYES_KERNEL=compiled but the extension is missing")
-_USE_COMPILED = _compiled is not None and _CHOICE != "python"
-
-
-def backend_name() -> str:
-    return "compiled" if _USE_COMPILED else "python"
 
 
 def sum_product_pair(tables: list[np.ndarray], slots: list[tuple[int, ...]],
@@ -50,13 +31,16 @@ def sum_product_pair(tables: list[np.ndarray], slots: list[tuple[int, ...]],
         raise TooLarge(
             f"contraction over {out_bits + 1} wires exceeds the "
             f"2^{MAX_CONTRACT_BITS} guard")
-    if _USE_COMPILED:
-        return _sum_product_compiled(tables, slots, out_bits)
-    return _sum_product_numpy(tables, slots, out_bits)
+    product = _broadcast_product(tables, slots, out_bits + 1)
+    return np.asarray(product.sum(axis=out_bits)).ravel()
 
 
-def _sum_product_numpy(tables, slots, out_bits):
-    q = out_bits
+def _broadcast_product(tables, slots, bits: int) -> np.ndarray:
+    """The pointwise product of the tables over ``bits`` bit axes.
+
+    Table ``j``'s wire ``a`` lands on axis ``slots[j][a]``; axes no table
+    covers are broadcast.  The result may be a read-only broadcast view.
+    """
     acc = None
     for table, sl in zip(tables, slots):
         s = len(sl)
@@ -64,31 +48,12 @@ def _sum_product_numpy(tables, slots, out_bits):
         view = table.reshape((2,) * s)
         if order != list(range(s)):
             view = view.transpose(order)
-        shape = [1] * (q + 1)
+        shape = [1] * bits
         for slot in sl:
             shape[slot] = 2
-        acc = view.reshape(shape) if acc is None else acc * view.reshape(shape)
-    if acc.shape != (2,) * (q + 1):
-        acc = np.broadcast_to(acc, (2,) * (q + 1))
-    return np.asarray(acc.sum(axis=q)).ravel()
-
-
-def _sum_product_compiled(tables, slots, out_bits):
-    r = len(tables)
-    offsets = np.zeros(r + 1, dtype=np.int64)
-    strides_lsb = np.zeros((r, max(out_bits, 1)), dtype=np.int64)
-    z_strides = np.zeros(r, dtype=np.int64)
-    parts = []
-    for j, (table, sl) in enumerate(zip(tables, slots)):
-        s = len(sl)
-        offsets[j + 1] = offsets[j] + (1 << s)
-        parts.append(np.ascontiguousarray(table, dtype=np.float64))
-        for a, slot in enumerate(sl):
-            stride = 1 << (s - 1 - a)
-            if slot == out_bits:
-                z_strides[j] = stride
-            else:
-                strides_lsb[j, out_bits - 1 - slot] = stride
-    buf = np.concatenate(parts)
-    return _compiled.sum_product_pair(buf, offsets, strides_lsb, z_strides,
-                                      out_bits)
+        view = view.reshape(shape)
+        acc = view if acc is None else acc * view
+    full = (2,) * bits
+    if acc is None:
+        return np.ones(full)
+    return acc if acc.shape == full else np.broadcast_to(acc, full)

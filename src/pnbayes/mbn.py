@@ -209,12 +209,14 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
         cols.append(idx[en])
         vals.append(rb[en])
         fdiag += rb * ~en
-    mat = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
-    pmat = _finalize_sparse(mat, ell, ell)
-    if not pmat.is_diagonal and (mat - sp.diags(mat.diagonal())).nnz == 0:
-        pmat = TypedMatrix.diagonal(mat.diagonal())
+    rows, cols, vals = (np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals))
+    if not np.any(vals[rows != cols]):
+        pmat = TypedMatrix.diagonal(
+            np.bincount(rows, weights=vals, minlength=size))
+    else:
+        mat = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+        pmat = _finalize_sparse(mat, ell, ell)
     fmat = TypedMatrix.diagonal(fdiag)
     return UpdatePair(pmat, fmat, rel.sbar)
 

@@ -217,8 +217,8 @@ class RelevantSets:
 
     ``sbar`` lists the relevant places in net order, ``tbar`` the relevant
     events (transitions with positive weight, plus ``fail`` whenever it can
-    be drawn).  ``rbar`` evaluates the step kernel on sub-markings over
-    ``sbar`` alone, which is sound because enabledness of every relevant
+    be drawn).  ``rbar_all`` evaluates the step kernel on sub-markings
+    over ``sbar`` alone, which is sound because enabledness of every relevant
     transition is determined by ``sbar``.
     """
 
@@ -246,16 +246,6 @@ class RelevantSets:
             t = net.transition(name)
             self._pre1[name] = sum(1 << spos[p] for p in t.pre)
             self._post1[name] = sum(1 << spos[p] for p in t.post)
-        self._spos = spos
-
-    def restrict(self, m: Marking | str | int) -> int:
-        """Project a full marking onto the ``sbar`` sub-marking."""
-        mv = self.net.marking(m).value
-        out = 0
-        for j, p in enumerate(self.sbar):
-            bit = (mv >> (self.net.width - 1 - self.net.place_index(p))) & 1
-            out |= bit << (self.ell - 1 - j)
-        return out
 
     def enabled_all(self, t: str) -> np.ndarray:
         """Boolean enabledness of ``t`` over all 2^ell sub-markings."""
@@ -289,20 +279,6 @@ class RelevantSets:
                            self.step.weight(t) * self.enabled_all(t) / denom,
                            0.0)
         return col
-
-    def rbar(self, m1: int, t: str) -> float:
-        """``rbar(m1, t)`` for a single sub-marking ``m1``."""
-        if self.step.semantics == INDEPENDENT:
-            if t == FAIL:
-                return self.step.weight(FAIL)
-            return self.step.weight(t) if t in self.tbar else 0.0
-        en = [u for u in self.tbar if u != FAIL
-              and (m1 & self._pre1[u]) == self._pre1[u]]
-        if not en:
-            return 1.0 if t == FAIL else 0.0
-        if t == FAIL or t not in en:
-            return 0.0
-        return self.step.weight(t) / sum(self.step.weight(u) for u in en)
 
 
 def relevant_sets(net: CENet, step: StepSpec) -> RelevantSets:

@@ -142,13 +142,13 @@ def test_scheduled_explicit_order(gossip_net, gossip_step):
     marg = terminate(posterior, ["K3"])
     ref = eval_naive(marg)
     order = min_degree_order(marg)
-    # the raw graph order is only meaningful with the rewrites disabled
-    flags = dict(merge_diagonal=False, fold=False, pin=False)
-    mat, plan, stats = scheduled_eliminate(marg, order=order.wires, **flags)
+    # an explicit order runs over the raw graph, without the query rewrites
+    mat, _ = run_elimination_stats(marg, order)
     assert mat.allclose(ref, atol=1e-12)
-    assert plan.wires == order.wires
+    scheduled, _, _ = scheduled_eliminate(marg)
+    assert scheduled.allclose(mat, atol=1e-12)
     with pytest.raises(BadOrder):
-        scheduled_eliminate(marg, order=order.wires[:1], **flags)
+        run_elimination_stats(marg, order.wires[:1])
 
 
 def test_scheduled_reports_realized_width(gossip_net, gossip_step):
@@ -168,7 +168,7 @@ def test_point_mass_pinning_shrinks_factors(gossip_net, gossip_step):
     marg = terminate(posterior, ["K3"])
     ref = eval_naive(marg)
     pinned, _, s1 = scheduled_eliminate(marg)
-    plain, _, s2 = scheduled_eliminate(marg, pin=False, fold=False)
+    plain, s2 = run_elimination_stats(marg, min_degree_order(marg))
     assert pinned.allclose(ref, atol=1e-12)
     assert plain.allclose(ref, atol=1e-12)
     assert s1.max_factor_wires <= s2.max_factor_wires

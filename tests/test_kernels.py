@@ -1,27 +1,13 @@
-"""Both contraction backends compute the same sum-products."""
+"""The contraction kernel and the grouped join against einsum."""
 import string
 
 import numpy as np
 import pytest
 
 from pnbayes import kernels
+from pnbayes.causality import Wire
+from pnbayes.eliminate import Factor, _join
 from pnbayes.errors import TooLarge
-
-
-def both_backends(tables, slots, out_bits):
-    saved = kernels._USE_COMPILED
-    try:
-        kernels._USE_COMPILED = False
-        results = [("python", kernels.sum_product_pair(tables, slots,
-                                                       out_bits))]
-        if kernels._compiled is not None:
-            kernels._USE_COMPILED = True
-            results.append(
-                ("compiled", kernels.sum_product_pair(tables, slots,
-                                                      out_bits)))
-        return results
-    finally:
-        kernels._USE_COMPILED = saved
 
 
 def einsum_reference(tables, slots, out_bits):
@@ -53,31 +39,20 @@ def random_problem(rng, n_out, n_factors):
     return tables, slots
 
 
-def test_backend_name():
-    assert kernels.backend_name() in ("python", "compiled")
-
-
-def test_compiled_extension_present():
-    # the package builds the extension; environments without it still run
-    if kernels._compiled is None:
-        pytest.skip("extension not built in this environment")
-    assert kernels._CHOICE == "python" or kernels.backend_name() == "compiled"
-
-
 def test_single_factor_contraction():
     table = np.array([1.0, 2.0, 3.0, 4.0])
     # f(w, z): wire first, summed wire second
-    for name, got in both_backends([table], [(0, 1)], 1):
-        assert np.allclose(got, [3.0, 7.0]), name
+    got = kernels.sum_product_pair([table], [(0, 1)], 1)
+    assert np.allclose(got, [3.0, 7.0])
     # f(z, w): summed wire most significant inside the factor
-    for name, got in both_backends([table], [(1, 0)], 1):
-        assert np.allclose(got, [4.0, 6.0]), name
+    got = kernels.sum_product_pair([table], [(1, 0)], 1)
+    assert np.allclose(got, [4.0, 6.0])
 
 
 def test_scalar_output():
     table = np.array([0.25, 0.5])
-    for name, got in both_backends([table, table], [(0,), (0,)], 0):
-        assert np.allclose(got, [0.25 ** 2 + 0.5 ** 2]), name
+    got = kernels.sum_product_pair([table, table], [(0,), (0,)], 0)
+    assert np.allclose(got, [0.25 ** 2 + 0.5 ** 2])
 
 
 def test_random_contractions_match_einsum(rng):
@@ -86,15 +61,36 @@ def test_random_contractions_match_einsum(rng):
         n_factors = int(rng.integers(1, 5))
         tables, slots = random_problem(rng, n_out, n_factors)
         want = einsum_reference(tables, slots, n_out)
-        for name, got in both_backends(tables, slots, n_out):
-            assert np.allclose(got, want), (name, slots)
+        got = kernels.sum_product_pair(tables, slots, n_out)
+        assert np.allclose(got, want), slots
 
 
 def test_wide_contraction(rng):
     tables, slots = random_problem(rng, 12, 6)
     want = einsum_reference(tables, slots, 12)
-    for name, got in both_backends(tables, slots, 12):
-        assert np.allclose(got, want), name
+    got = kernels.sum_product_pair(tables, slots, 12)
+    assert np.allclose(got, want)
+
+
+def test_join_matches_einsum(rng):
+    # the grouped join is the same product without the sum: every slot,
+    # the shared one included, stays in the result
+    for _ in range(40):
+        n_out = int(rng.integers(0, 6))
+        n_factors = int(rng.integers(1, 5))
+        tables, slots = random_problem(rng, n_out, n_factors)
+        want = einsum_reference(tables, slots, n_out + 1)
+        # slot k of the joined layout carries wire joined[k], in shuffled
+        # wire order; each factor holds its wires ascending
+        joined = tuple(Wire(int(k), 1) for k in rng.permutation(n_out + 1))
+        group = []
+        for table, sl in zip(tables, slots):
+            wires = [joined[s] for s in sl]
+            axes = sorted(range(len(sl)), key=lambda a: wires[a])
+            view = table.reshape((2,) * len(sl)).transpose(axes)
+            group.append(Factor(tuple(sorted(wires)), view.ravel()))
+        assert np.allclose(_join(group, joined), want), slots
+    assert np.array_equal(_join([], joined), np.ones(1 << len(joined)))
 
 
 def test_contraction_guard():

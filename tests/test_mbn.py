@@ -90,6 +90,7 @@ def test_build_update_gossip_values(gossip_net, gossip_step):
     assert up.ell == 3
     assert up.pmat.entry("110", "110") == pytest.approx(3 / 4)
     assert up.pmat.entry("111", "110") == pytest.approx(1 / 4)
+    assert not up.pmat.is_diagonal
     assert up.fmat.is_diagonal
     # nothing enabled on the all-clear sub-marking
     assert up.fmat.entry("000", "000") == 1.0

@@ -21,12 +21,10 @@ import scipy.sparse as sp
 
 from .errors import InconsistentEvidence, InvalidArity, TooLarge, TypeMismatch
 
-# Tolerances: stochasticity predicates use STOCH_EPS, construction-time sanity
-# checks are looser to absorb drift over long composites, and the zero-mass
-# guard sits near the float64 floor so legitimately tiny posteriors survive.
+# Tolerances: stochasticity predicates use STOCH_EPS, and construction-time
+# sanity checks are looser to absorb drift over long composites.
 STOCH_EPS = 1e-9
 CONSTRUCT_EPS = 1e-6
-MASS_EPS = 1e-12
 
 # Refuse to materialize dense tables above 2**MAX_DENSE_BITS entries and
 # prefer dense below 2**DENSIFY_BITS (where dense is faster than sparse).
@@ -280,10 +278,16 @@ class ProbVector:
         return f"ProbVector(arity={self.arity}, mass={self.mass():.6g})"
 
 
-def normalize(p: ProbVector, eps: float = MASS_EPS) -> ProbVector:
-    """Scale ``p`` to total mass 1."""
+def normalize(p: ProbVector) -> ProbVector:
+    """Scale ``p`` to total mass 1.
+
+    Every entry is a sum of products of non-negative weights, so evidence
+    of probability zero leaves exactly 0.0; any positive mass, however
+    small, is a valid posterior.  A mass that underflows float64 to 0.0
+    still raises.
+    """
     m = p.mass()
-    if m <= eps:
+    if not m > 0.0:
         raise InconsistentEvidence(f"cannot normalize mass {m}")
     return ProbVector(p.arity, p.data / m)
 

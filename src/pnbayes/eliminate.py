@@ -12,10 +12,18 @@ the term-width calculus for compositional expressions.
 The query path (``scheduled_eliminate``) always applies three rewrites
 from the evaluation-scheduling playbook: diagonal nodes merge their
 input/output wires into equivalence classes instead of doubling factor
-arity, node outputs that nobody reads are pre-summed at construction, and
-point-mass source nodes pin their wires to constants so factors shrink by
-slicing.  Runs over an explicit order (``run_elimination``) apply none of
-them, except the diagonal merge on request.
+arity, node outputs that nobody reads are summed out of their producing
+factor, and point-mass source nodes pin their wires to constants so
+factors shrink by slicing.  Runs over an explicit order
+(``run_elimination``) apply none of them, except the diagonal merge on
+request.
+
+Preparation comes in two halves.  The base (``_Base``) depends only on
+the network: the merged wire classes, the pins, the classes some node
+reads, and each node's factor over every target that is read or is an
+output.  A query derives its problem from the base cheaply: it sums the
+outputs it drops out of their factors and picks the nodes to keep as
+matrices.  A ``PreparedNet`` keeps one base for many queries.
 
 Nodes whose factor would not fit in memory (sparse update matrices over
 many wires) are never tabulated.  The scheduler keeps them as matrices and
@@ -28,7 +36,7 @@ eliminator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -40,7 +48,7 @@ from .causality import (CausalityGraph, Generator, Wire, seq, tensor,
                         wiring_duplicate, wiring_identity, wiring_swap,
                         wiring_terminate, node_graph)
 from .errors import BadOrder, TooLarge, TypeMismatch, ValidationError
-from .mbn import MBN
+from .mbn import MBN, terminate
 
 POINT_EPS = 1e-12
 MAX_FACTOR_BITS = kernels.MAX_CONTRACT_BITS
@@ -268,6 +276,22 @@ def _gather_positions(stream, pinned):
     return unique, flat, ok
 
 
+def _entries(mat: TypedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries as (rows, cols, values), column by column with
+    rows ascending: the order of the matrix's CSC form, built without it
+    when the matrix is dense or diagonal."""
+    if mat.is_sparse:
+        coo = mat.to_sparse().tocoo()
+        return coo.row, coo.col, coo.data
+    if mat.is_diagonal:
+        diag = mat.diag_vector()
+        idx = np.flatnonzero(diag)
+        return idx, idx, diag[idx]
+    dense = mat.to_dense()
+    cols, rows = np.nonzero(dense.T)
+    return rows, cols, dense[rows, cols]
+
+
 def _node_factor(mat: TypedMatrix, src: tuple[Wire, ...],
                  tgt: tuple[Wire, ...], live: Sequence[bool],
                  pinned: dict[Wire, int]) -> Factor:
@@ -278,8 +302,7 @@ def _node_factor(mat: TypedMatrix, src: tuple[Wire, ...],
     updates never materialize a dense table over all their wires.
     """
     n, m = mat.in_arity, mat.out_arity
-    coo = mat.to_sparse().tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
+    rows, cols, vals = _entries(mat)
 
     def stream():
         for j, w in enumerate(src):
@@ -332,39 +355,29 @@ class ElimStats:
 
 
 @dataclass(frozen=True)
-class _LazyNode:
-    """A node kept as a matrix because its factor table would be too big.
+class _Node:
+    """One node's matrix over representative wire classes.
 
-    Wire tuples are representative classes; dead targets carry live=False
-    and are summed away when the matrix is reduced at application time.
+    ``live`` marks the targets its factor keeps; a dead target is summed
+    out.  A diagonal node lists its merged input/output classes as ``src``
+    and has no targets of its own.
     """
 
+    index: int
     mat: TypedMatrix
     src: tuple[Wire, ...]
     tgt: tuple[Wire, ...]
     live: tuple[bool, ...]
+    diagonal: bool = False
 
-
-@dataclass
-class _Problem:
-    factors: list[Factor]
-    rep: dict[Wire, Wire]
-    internal: tuple[Wire, ...]
-    ext_slots: tuple[Wire, ...]
-    pinned: dict[Wire, int]
-    zero: bool
-    in_arity: int
-    out_arity: int
-    lazy: tuple[_LazyNode, ...] = ()
-
-    def vertices(self):
-        verts = set(self.ext_slots)
-        for f in self.factors:
-            verts.update(f.wires)
-        return verts
-
-    def scopes(self):
-        return [frozenset(f.wires) for f in self.factors]
+    def scope(self, pinned: dict[Wire, int],
+              live: Sequence[bool] | None = None) -> frozenset[Wire]:
+        """The unpinned wires of the node's factor."""
+        live = self.live if live is None else live
+        wires = {w for w in self.src if w not in pinned}
+        wires.update(w for w, alive in zip(self.tgt, live)
+                     if alive and w not in pinned)
+        return frozenset(wires)
 
 
 def _is_point_mass(mat: TypedMatrix) -> int | None:
@@ -384,80 +397,193 @@ def _is_point_mass(mat: TypedMatrix) -> int | None:
     return None
 
 
-def _prepare(net: MBN, merge_diagonal: bool, fold: bool, pin: bool,
-             bulk_bits: int | None = None) -> _Problem:
-    graph = net.graph
-    uf = _UnionFind()
-    diagonal_nodes = set()
-    if merge_diagonal:
-        for v in range(graph.node_count):
-            mat = net.matrix(graph.gens[v].name)
-            if mat.is_diagonal and mat.in_arity > 0:
-                diagonal_nodes.add(v)
-                for j, w in enumerate(graph.sources[v]):
-                    uf.union(w, Wire(v, j + 1))
-    rep = {w: uf.find(w) for w in graph.wires()}
+class _Base:
+    """The query-independent half of preparing a network.
 
-    pinned: dict[Wire, int] = {}
-    zero = False
-    skipped = set()
-    if pin:
-        for v in range(graph.node_count):
-            if v in diagonal_nodes or graph.gens[v].in_arity != 0:
-                continue
-            mat = net.matrix(graph.gens[v].name)
-            point = _is_point_mass(mat)
-            if point is None:
-                continue
-            skipped.add(v)
-            m = graph.gens[v].out_arity
-            for p in range(1, m + 1):
-                bit = (point >> (m - p)) & 1
-                w = rep[Wire(v, p)]
-                if pinned.setdefault(w, bit) != bit:
-                    zero = True
+    It holds the merged diagonal wire classes, the point-mass pins, the
+    classes some node reads, and each node's factor once a query first
+    asks for it.  With ``fold``, a node's base factor spans the targets
+    that are read or are outputs of the network, and a query that drops
+    an output sums it out of its single producing factor, which is what
+    folding it at construction would give.  A node whose base factor would
+    span more than BULK_NODE_BITS wires is not kept; each query that needs
+    its table builds its own.
+    """
 
-    consumed = {rep[w] for v in range(graph.node_count)
+    def __init__(self, net: MBN, merge_diagonal: bool, fold: bool,
+                 pin: bool):
+        graph = net.graph
+        uf = _UnionFind()
+        diagonal_nodes = set()
+        if merge_diagonal:
+            for v in range(graph.node_count):
+                mat = net.matrix(graph.gens[v].name)
+                if mat.is_diagonal and mat.in_arity > 0:
+                    diagonal_nodes.add(v)
+                    for j, w in enumerate(graph.sources[v]):
+                        uf.union(w, Wire(v, j + 1))
+        rep = {w: uf.find(w) for w in graph.wires()}
+
+        pinned: dict[Wire, int] = {}
+        zero = False
+        skipped = set()
+        if pin:
+            for v in range(graph.node_count):
+                if v in diagonal_nodes or graph.gens[v].in_arity != 0:
+                    continue
+                point = _is_point_mass(net.matrix(graph.gens[v].name))
+                if point is None:
+                    continue
+                skipped.add(v)
+                m = graph.gens[v].out_arity
+                for p in range(1, m + 1):
+                    bit = (point >> (m - p)) & 1
+                    w = rep[Wire(v, p)]
+                    if pinned.setdefault(w, bit) != bit:
+                        zero = True
+
+        read = {rep[w] for v in range(graph.node_count)
                 if v not in skipped
                 for w in graph.sources[v]}
-    consumed |= {rep[w] for w in graph.out}
-
-    factors: list[Factor] = []
-    lazy: list[_LazyNode] = []
-    for v in range(graph.node_count):
-        if v in skipped:
-            continue
-        gen = graph.gens[v]
-        mat = net.matrix(gen.name)
-        src = tuple(rep[w] for w in graph.sources[v])
-        if v in diagonal_nodes:
-            factors.append(_diagonal_factor(mat, src, pinned))
-            continue
-        tgt = tuple(rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
-        live = tuple(not fold or w in consumed for w in tgt)
-        if bulk_bits is not None:
-            scope = {w for w in src if w not in pinned}
-            scope.update(w for w, alive in zip(tgt, live)
-                         if alive and w not in pinned)
-            if len(scope) > bulk_bits:
-                lazy.append(_LazyNode(mat, src, tgt, live))
+        kept = read | {rep[w] for w in graph.out}
+        self.nodes: dict[int, _Node] = {}
+        for v in range(graph.node_count):
+            if v in skipped:
                 continue
-        factors.append(_node_factor(mat, src, tgt, live, pinned))
+            gen = graph.gens[v]
+            mat = net.matrix(gen.name)
+            src = tuple(rep[w] for w in graph.sources[v])
+            if v in diagonal_nodes:
+                self.nodes[v] = _Node(v, mat, src, (), (), diagonal=True)
+                continue
+            tgt = tuple(rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
+            live = tuple(not fold or w in kept for w in tgt)
+            self.nodes[v] = _Node(v, mat, src, tgt, live)
+        self.rep = rep
+        self.pinned = pinned
+        self.zero = zero
+        self.fold = fold
+        self.read = read
+        self._tables: dict[int, Factor] = {}
 
-    ext_slots = tuple(rep[w] for w in graph.inputs()) + \
-        tuple(rep[w] for w in graph.out)
-    external = set(ext_slots)
-    in_factors = set()
-    for f in factors:
-        in_factors.update(f.wires)
-    for node in lazy:
-        in_factors.update(w for w in node.src if w not in pinned)
-        in_factors.update(w for w, alive in zip(node.tgt, node.live)
-                          if alive and w not in pinned)
-    internal = tuple(sorted(
-        w for w in in_factors if w not in external and w not in pinned))
-    return _Problem(factors, rep, internal, ext_slots, pinned, zero,
-                    graph.in_arity, graph.out_arity, tuple(lazy))
+    def problem(self, graph: CausalityGraph,
+                bulk_bits: int | None = None) -> _Problem:
+        """The elimination problem of ``graph``, which is the base network
+        with the same nodes and some of its outputs.
+
+        Nodes whose factor would span more than ``bulk_bits`` live wires
+        are kept as matrices (``lazy``).  No table is built here.
+        """
+        rep, pinned = self.rep, self.pinned
+        kept = self.read | {rep[w] for w in graph.out}
+        tabulated: list[tuple[int, tuple[bool, ...]]] = []
+        scopes: list[frozenset[Wire]] = []
+        lazy: list[_Node] = []
+        for node in self.nodes.values():
+            live = node.live
+            if self.fold:
+                live = tuple(w in kept for w in node.tgt)
+            scope = node.scope(pinned, live)
+            if (bulk_bits is not None and not node.diagonal
+                    and len(scope) > bulk_bits):
+                lazy.append(replace(node, live=live))
+                continue
+            tabulated.append((node.index, live))
+            scopes.append(scope)
+
+        ext_slots = tuple(rep[w] for w in graph.inputs()) + \
+            tuple(rep[w] for w in graph.out)
+        external = set(ext_slots)
+        in_factors = set()
+        for scope in scopes:
+            in_factors.update(scope)
+        for node in lazy:
+            in_factors.update(node.scope(pinned))
+        internal = tuple(sorted(w for w in in_factors if w not in external))
+        return _Problem(self, tabulated, scopes, internal, ext_slots,
+                        graph.in_arity, graph.out_arity, tuple(lazy))
+
+    def factor(self, index: int, live: tuple[bool, ...]) -> Factor:
+        """Node ``index``'s factor over its ``live`` targets."""
+        node = self.nodes[index]
+        full = self._tables.get(index)
+        if full is None:
+            if node.diagonal:
+                full = _diagonal_factor(node.mat, node.src, self.pinned)
+            elif len(node.scope(self.pinned)) > BULK_NODE_BITS:
+                return _node_factor(node.mat, node.src, node.tgt, live,
+                                    self.pinned)
+            else:
+                full = _node_factor(node.mat, node.src, node.tgt, node.live,
+                                    self.pinned)
+            # shared by every query on this base, so never written to
+            full.table.flags.writeable = False
+            self._tables[index] = full
+        dead = tuple(full.wires.index(w) for w, was, alive
+                     in zip(node.tgt, node.live, live) if was and not alive)
+        if not dead:
+            return full
+        table = full.table.reshape((2,) * full.size).sum(axis=dead).ravel()
+        wires = tuple(w for a, w in enumerate(full.wires) if a not in dead)
+        return Factor(wires, table)
+
+
+@dataclass
+class _Problem:
+    """One query against a base: which nodes it tabulates over which live
+    targets, which it keeps as matrices, and its internal wires."""
+
+    base: _Base
+    tabulated: list[tuple[int, tuple[bool, ...]]]
+    scopes: list[frozenset[Wire]]
+    internal: tuple[Wire, ...]
+    ext_slots: tuple[Wire, ...]
+    in_arity: int
+    out_arity: int
+    lazy: tuple[_Node, ...] = ()
+
+    def factors(self) -> list[Factor]:
+        return [self.base.factor(v, live) for v, live in self.tabulated]
+
+    def vertices(self):
+        verts = set(self.ext_slots)
+        for scope in self.scopes:
+            verts.update(scope)
+        return verts
+
+
+class PreparedNet:
+    """A network whose query-independent preparation is built once.
+
+    ``PreparedNet(net)`` only stores ``net``.  The first
+    ``scheduled_eliminate`` call on it, or on a network from its
+    ``restrict``, builds the base (merged diagonal wire classes, point-mass
+    pins, read classes) and every node factor that call needs; later calls
+    reuse them and add only the factors they need that are still missing.
+    The tables live as long as this object and its restrictions.
+    """
+
+    def __init__(self, net: MBN):
+        self.net = net
+        # a restriction points at the network it restricts; the owner
+        # points at nothing, so no reference cycle delays freeing the base
+        self._owner: PreparedNet | None = None
+        self._base: _Base | None = None
+
+    def restrict(self, places: Iterable[str]) -> PreparedNet:
+        """The same network with only ``places`` as outputs, sharing this
+        network's base."""
+        owner = self._owner or self
+        view = PreparedNet(terminate(owner.net, places))
+        view._owner = owner
+        return view
+
+    def base(self) -> _Base:
+        owner = self._owner or self
+        if owner._base is None:
+            owner._base = _Base(owner.net, merge_diagonal=True, fold=True,
+                                pin=True)
+        return owner._base
 
 
 # -- running an elimination ---------------------------------------------------
@@ -505,7 +631,7 @@ def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
     return np.ascontiguousarray(product).ravel()
 
 
-def _reduced_matrix(node: _LazyNode, pinned: dict[Wire, int]
+def _reduced_matrix(node: _Node, pinned: dict[Wire, int]
                     ) -> tuple[tuple[Wire, ...], tuple[Wire, ...],
                                sp.csr_matrix]:
     """The node's matrix as rows over live targets, columns over sources.
@@ -515,8 +641,7 @@ def _reduced_matrix(node: _LazyNode, pinned: dict[Wire, int]
     order on each side.
     """
     n, m = node.mat.in_arity, node.mat.out_arity
-    coo = node.mat.to_sparse().tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
+    rows, cols, vals = _entries(node.mat)
 
     def src_stream():
         for j, w in enumerate(node.src):
@@ -544,7 +669,7 @@ def _reduced_matrix(node: _LazyNode, pinned: dict[Wire, int]
     return tuple(ins), tuple(outs), reduced
 
 
-def _apply_lazy(node: _LazyNode, factors: list[Factor],
+def _apply_lazy(node: _Node, factors: list[Factor],
                 pinned: dict[Wire, int], stats: ElimStats
                 ) -> tuple[list[Factor], tuple[Wire, ...]]:
     """Contract one oversized node in a single grouped step.
@@ -623,34 +748,30 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
     """Grouped contraction of the oversized nodes, in wiring order, then
     ordinary min-degree elimination of whatever wires remain."""
     external = set(problem.ext_slots)
-    pinned = problem.pinned
+    pinned = problem.base.pinned
     # a grouped step sums out every input at once, so it must own them:
     # nodes reading external wires or wires another oversized node also
     # reads fall back to a table (the factor guard rules on feasibility)
-    grouped: list[_LazyNode] = []
+    grouped: list[_Node] = []
     demoted: list[Factor] = []
     taken: set[Wire] = set()
     for node in problem.lazy:
         ins = {w for w in node.src if w not in pinned}
         if ins & external or ins & taken:
-            demoted.append(_node_factor(node.mat, node.src, node.tgt,
-                                        node.live, pinned))
+            demoted.append(problem.base.factor(node.index, node.live))
             continue
         taken |= ins
         grouped.append(node)
-    factors = list(problem.factors) + demoted
+    factors = problem.factors() + demoted
     for f in factors:
         stats.track(f.size)
     eliminated: list[Wire] = []
     for i, node in enumerate(grouped):
         protected = set(external)
         for later in grouped[i:]:
-            protected.update(w for w in later.src if w not in pinned)
-            protected.update(w for w, alive in zip(later.tgt, later.live)
-                             if alive and w not in pinned)
+            protected.update(later.scope(pinned))
         factors = _sweep_confined(factors, protected, eliminated)
-        factors, consumed = _apply_lazy(node, factors, problem.pinned,
-                                        stats)
+        factors, consumed = _apply_lazy(node, factors, pinned, stats)
         eliminated.extend(consumed)
     factors = _sweep_confined(factors, external, eliminated)
     done = set(eliminated)
@@ -673,9 +794,10 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
         raise TooLarge(f"result over {total_bits} wires exceeds the "
                        f"2^{MAX_FACTOR_BITS} guard")
     size = 1 << total_bits
-    if problem.zero:
+    if problem.base.zero:
         return TypedMatrix(n, m,
                            dense=np.zeros((1 << m, 1 << n)), check=False)
+    pinned = problem.base.pinned
     space = np.arange(size, dtype=np.int64)
     # flat result index: output bits (most significant) then input bits
     slot_bits: dict[Wire, np.ndarray] = {}
@@ -683,8 +805,8 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
     positions = list(problem.ext_slots[n:]) + list(problem.ext_slots[:n])
     for k, w in enumerate(positions):
         bits = (space >> (total_bits - 1 - k)) & 1
-        if w in problem.pinned:
-            mask &= bits == problem.pinned[w]
+        if w in pinned:
+            mask &= bits == pinned[w]
         elif w in slot_bits:
             mask &= bits == slot_bits[w]
         else:
@@ -693,7 +815,7 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
     for f in factors:
         idx = np.zeros(size, dtype=np.int64)
         for a, w in enumerate(f.wires):
-            if w in problem.pinned:
+            if w in pinned:
                 # already sliced away during construction
                 raise ValidationError("pinned wire survived elimination")
             if w not in slot_bits:
@@ -707,7 +829,8 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
 def initial_factors(net: MBN, merge_diagonal: bool = False) -> list[Factor]:
     """One factor per node; with ``merge_diagonal`` the diagonal-flagged
     nodes contribute a half-arity factor over merged wire classes."""
-    return _prepare(net, merge_diagonal, fold=False, pin=False).factors
+    base = _Base(net, merge_diagonal, fold=False, pin=False)
+    return base.problem(net.graph).factors()
 
 
 def run_elimination_stats(net: MBN, order: ElimOrder | Sequence[Wire],
@@ -718,14 +841,16 @@ def run_elimination_stats(net: MBN, order: ElimOrder | Sequence[Wire],
     problems = _order_problems(wires, graph.internal_wires())
     if problems:
         raise BadOrder("; ".join(problems))
-    problem = _prepare(net, merge_diagonal, fold=False, pin=False)
+    base = _Base(net, merge_diagonal, fold=False, pin=False)
+    problem = base.problem(graph)
     # a merged class is summed out where its last member would have been
-    last = {problem.rep[w]: k for k, w in enumerate(wires)}
+    last = {base.rep[w]: k for k, w in enumerate(wires)}
     rep_order = sorted(problem.internal, key=last.__getitem__)
     stats = ElimStats()
-    for f in problem.factors:
+    factors = problem.factors()
+    for f in factors:
         stats.track(f.size)
-    left = _run(problem.factors, rep_order, stats)
+    left = _run(factors, rep_order, stats)
     return _combine(problem, left), stats
 
 
@@ -740,35 +865,45 @@ def run_elimination(net: MBN, order: ElimOrder | Sequence[Wire],
     return run_elimination_stats(net, order, merge_diagonal)[0]
 
 
-def scheduled_eliminate(net: MBN, bulk_bits: int = BULK_NODE_BITS
+def scheduled_eliminate(net: MBN | PreparedNet,
+                        bulk_bits: int = BULK_NODE_BITS
                         ) -> tuple[TypedMatrix, ElimOrder, ElimStats]:
     """The query path: always fold dead outputs, merge diagonal wires and
     pin point masses, then eliminate the internal wires by min-degree.
+
+    ``net`` is a network or a ``PreparedNet``.  A network is prepared for
+    this call alone; a ``PreparedNet`` builds its base on its first call and
+    shares it, and every node factor built from it, with later calls on it
+    and its restrictions.
 
     Nodes whose factor would span more than ``bulk_bits`` live wires are
     never tabulated.  When such a node exists, or when no tabulated
     min-degree run would fit the factor guard, the run escalates: every
     node over GROUP_NODE_BITS live wires is kept as a sparse matrix and
-    contracted in one grouped step, in wiring order.  The returned order
+    contracted in one grouped step, in wiring order.  The escalated problem
+    is derived from the same base, so escalating prepares nothing twice,
+    and no table is built before the route is chosen.  The returned order
     then lists the wires in the sequence actually summed out and reports
     the realized width (the widest table the run produced).
     """
-    problem = _prepare(net, merge_diagonal=True, fold=True, pin=True,
-                       bulk_bits=bulk_bits)
+    prepared = net if isinstance(net, PreparedNet) else PreparedNet(net)
+    base = prepared.base()
+    graph = prepared.net.graph
+    problem = base.problem(graph, bulk_bits)
     stats = ElimStats()
     if not problem.lazy:
-        plan = _greedy_order(problem.vertices(), problem.scopes(),
+        plan = _greedy_order(problem.vertices(), problem.scopes,
                              problem.internal)
         # width counts a factor's wires after the sum-out; the contraction
         # in flight holds one more, so a plan at the guard must escalate
         if plan.width < MAX_FACTOR_BITS:
-            for f in problem.factors:
+            factors = problem.factors()
+            for f in factors:
                 stats.track(f.size)
-            left = _run(problem.factors, plan.wires, stats)
+            left = _run(factors, plan.wires, stats)
             return _combine(problem, left), plan, stats
-    problem = _prepare(net, merge_diagonal=True, fold=True, pin=True,
-                       bulk_bits=min(bulk_bits, GROUP_NODE_BITS))
-    if problem.zero:
+    problem = base.problem(graph, min(bulk_bits, GROUP_NODE_BITS))
+    if base.zero:
         return _combine(problem, []), ElimOrder((), 0), stats
     left, sequence = _run_hybrid(problem, stats)
     plan = ElimOrder(sequence, stats.max_factor_wires)

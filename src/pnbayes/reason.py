@@ -8,6 +8,11 @@ and queries run scheduled variable elimination over the accumulated
 graph.  Normalization is deferred to query time, which conditions on the
 whole observation sequence at once.
 
+All queries on one ``Posterior`` share one preparation of its network
+(``eliminate.PreparedNet``): the first query builds the node factors
+inside its ``scheduled_eliminate`` call, every later marginal, mass or
+joint query reuses them, and they are freed with the posterior.
+
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,10 +29,10 @@ import numpy as np
 from . import chain
 from .bitmatrix import ProbVector, normalize, parse_vector
 from .chain import DEFAULT_PLACE_LIMIT, OBSERVATIONS
-from .eliminate import ElimOrder, ElimStats, scheduled_eliminate
+from .eliminate import ElimOrder, ElimStats, PreparedNet, scheduled_eliminate
 from .errors import TooLarge, ValidationError
 from .mbn import (MBN, attach_update, build_update, prior_independent,
-                  prior_joint, terminate)
+                  prior_joint)
 from .petri import CENet, StepSpec, net_from_json
 
 
@@ -77,11 +83,18 @@ class Posterior:
     """The belief state after a trace, as a modular Bayesian network.
 
     The network is unnormalized: its total mass is the probability of the
-    observations, and queries normalize at the end.
+    observations, and queries normalize at the end.  Every query on one
+    posterior shares one preparation of the network: its first query
+    builds the node factors, later queries reuse them, and they are freed
+    with the posterior.
     """
 
     net: CENet
     mbn: MBN
+
+    @cached_property
+    def _prepared(self) -> PreparedNet:
+        return PreparedNet(self.mbn)
 
     def query_stats(self, places: Sequence[str]
                     ) -> tuple[ProbVector, ElimOrder, ElimStats]:
@@ -90,8 +103,7 @@ class Posterior:
         for p in places:
             self.net.place_index(p)
         keep = [p for p in self.net.places if p in set(places)]
-        marg = terminate(self.mbn, keep)
-        mat, order, stats = scheduled_eliminate(marg)
+        mat, order, stats = scheduled_eliminate(self._prepared.restrict(keep))
         raw = ProbVector(len(keep), mat.to_dense()[:, 0])
         return raw, order, stats
 

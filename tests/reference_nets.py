@@ -209,3 +209,53 @@ def random_term(rng: np.random.Generator, max_depth: int = 3) -> Term:
         return SeqT(left, gen(m, k))
 
     return build(max_depth)
+
+
+# -- long and wide traces ------------------------------------------------------
+
+def loop_trace(successes: int) -> ObservationTrace:
+    """One place under a self-loop that fires with weight 0.5, observed to
+    succeed ``successes`` times: P(I) = 1 and the mass is 0.5^(n+1)."""
+    net = CENet(("I",), (("loop", ("I",), ("I",)),))
+    step = StepSpec("independent", {"loop": 0.5, "fail": 0.5})
+    prior = PriorSpec(marginals=(("I", 0.5),))
+    return ObservationTrace(net, prior, ((step, "success"),) * successes)
+
+
+def wide_trace(rng: np.random.Generator, places: int = 18,
+               transitions: int = 24, steps: int = 10,
+               active: int = 6) -> ObservationTrace:
+    """A random net with pre sets of 2-3 places and post sets of 1-3, and
+    a simulated trace whose every step activates ``active`` transitions
+    plus ``fail``.  Success nodes span most of the net, so queries on it
+    escalate to grouped contraction."""
+    names = tuple(f"p{i}" for i in range(places))
+    trans = []
+    for j in range(transitions):
+        pre = rng.choice(places, size=int(rng.integers(2, 4)), replace=False)
+        post = rng.choice(places, size=int(rng.integers(1, 4)), replace=False)
+        trans.append((f"t{j}", tuple(names[i] for i in sorted(pre)),
+                      tuple(names[i] for i in sorted(post))))
+    net = CENet(names, tuple(trans))
+    prior = PriorSpec(marginals=tuple(
+        (p, float(rng.uniform(0.3, 0.7))) for p in names))
+    marked = {p for p in names if rng.random() < dict(prior.marginals)[p]}
+    trace = []
+    for _ in range(steps):
+        chosen = sorted(rng.choice(transitions, size=active, replace=False))
+        raw = rng.uniform(0.2, 1.0, size=active + 1)
+        shares = raw / raw.sum()
+        weights = {trans[i][0]: float(w) for i, w in zip(chosen, shares)}
+        weights["fail"] = float(shares[-1])
+        obs = "failure"
+        u, acc = rng.random(), 0.0
+        for i, w in zip(chosen, shares):
+            _, pre, post = trans[i]
+            if set(pre) <= marked:
+                acc += w
+                if u < acc:
+                    marked = (marked - set(pre)) | set(post)
+                    obs = "success"
+                    break
+        trace.append((StepSpec("independent", weights), obs))
+    return ObservationTrace(net, prior, tuple(trace))

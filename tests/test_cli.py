@@ -48,6 +48,32 @@ def test_query_marginal_and_mass(capsys):
     assert "mass: 0.75" in out
 
 
+def test_repeated_flags_print_what_single_queries_print(capsys):
+    flags = [["--marginal", p] for p in nets.GOSSIP_PLACES] + [["--mass"]]
+    assert main(["query", GOSSIP_TRACE] + sum(flags, [])) == 0
+    together = capsys.readouterr().out.splitlines()
+    one_by_one = []
+    for flag in flags:
+        assert main(["query", GOSSIP_TRACE] + flag) == 0
+        one_by_one += capsys.readouterr().out.splitlines()
+    assert together == one_by_one
+    assert together[2] == "K3=1: 0.625" and together[4] == "mass: 0.75"
+
+
+@pytest.mark.parametrize("successes", [39, 45])
+def test_tiny_mass_query_succeeds(tmp_path, capsys, successes):
+    trace = nets.loop_trace(successes)
+    doc = {
+        "net": net_to_json(trace.net),
+        "prior": dict(trace.prior.marginals),
+        "steps": [{"weights": dict(step.weights), "obs": obs}
+                  for step, obs in trace.steps],
+    }
+    path = write_net(tmp_path, doc, "trace.json")
+    assert main(["query", path, "--marginal", "I"]) == 0
+    assert capsys.readouterr().out == "I=1: 1.0\n"
+
+
 def test_query_without_requests_is_usage_error(capsys):
     assert main(["query", GOSSIP_TRACE]) == 1
     assert "nothing to report" in capsys.readouterr().err

@@ -1,18 +1,20 @@
 """Observation traces, posteriors, and the trace file format."""
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from pnbayes import eliminate
 from pnbayes.bitmatrix import ProbVector, normalize
 from pnbayes.chain import marginal_of
 from pnbayes.errors import (InconsistentEvidence, MissingPlace, TooLarge,
                             ValidationError)
 from pnbayes.petri import CENet, net_to_json
 from pnbayes.randnet import random_trace
-from pnbayes.reason import (ObservationTrace, PriorSpec, dense_posterior,
-                            load_trace, parse_prior, parse_step, parse_trace,
-                            run)
+from pnbayes.reason import (ObservationTrace, Posterior, PriorSpec,
+                            dense_posterior, load_trace, parse_prior,
+                            parse_step, parse_trace, run)
 
 import reference_nets as nets
 
@@ -87,11 +89,136 @@ def test_impossible_evidence_raises():
         posterior.marginal(["I"])
 
 
+@pytest.mark.parametrize("successes", [39, 45])
+def test_tiny_mass_is_not_inconsistent(successes):
+    # the mass is 0.5^(n+1), far below 1e-12, yet P(I) = 1 exactly
+    trace = nets.loop_trace(successes)
+    posterior = run(trace)
+    assert posterior.mass() == 0.5 ** (successes + 1)
+    assert posterior.marginal(["I"]).entry(1) == pytest.approx(1.0, abs=1e-12)
+    dense = normalize(dense_posterior(trace))
+    assert dense.entry(1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_run_rejects_unknown_observation():
     trace = ObservationTrace(nets.gossip_net(), nets.gossip_trace().prior,
                              ((nets.gossip_step(), "maybe"),))
     with pytest.raises(ValidationError, match="unknown observation"):
         run(trace)
+
+
+# -- queries sharing one posterior's preparation ------------------------------
+
+def _count_tabulations(monkeypatch) -> dict[int, int]:
+    """Count factor constructions per node matrix."""
+    counts: dict[int, int] = {}
+
+    def counted(build):
+        def wrapper(mat, *args):
+            counts[id(mat)] = counts.get(id(mat), 0) + 1
+            return build(mat, *args)
+        return wrapper
+    monkeypatch.setattr(eliminate, "_node_factor",
+                        counted(eliminate._node_factor))
+    monkeypatch.setattr(eliminate, "_diagonal_factor",
+                        counted(eliminate._diagonal_factor))
+    return counts
+
+
+@pytest.mark.parametrize("trace, escalations", [
+    (random_trace(np.random.default_rng(5), places=10, transitions=12,
+                  steps=8), 0),
+    (nets.wide_trace(np.random.default_rng(0)), 19),
+], ids=["tabulated", "escalating"])
+def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
+                                                   monkeypatch):
+    counts = _count_tabulations(monkeypatch)
+    escalated = []
+    run_hybrid = eliminate._run_hybrid
+
+    def hybrid(*args):
+        escalated.append(True)
+        return run_hybrid(*args)
+    monkeypatch.setattr(eliminate, "_run_hybrid", hybrid)
+    posterior = run(trace)
+    for place in trace.net.places:
+        posterior.marginal([place])
+    posterior.mass()
+    assert counts and max(counts.values()) == 1
+    assert len(escalated) == escalations
+
+
+def test_preparation_lives_and_dies_with_the_posterior():
+    posterior = run(nets.gossip_trace())
+    posterior.mass()
+    base = weakref.ref(posterior._prepared.base())
+    assert posterior == Posterior(posterior.net, posterior.mbn)
+    assert run(nets.gossip_trace())._prepared.base() is not base()
+    # freed by reference counting alone: no cycle waits for the collector
+    del posterior
+    assert base() is None
+
+
+def _ask(posterior, kind, places):
+    if kind == "marginal":
+        return posterior.marginal(places)
+    return getattr(posterior, kind)()
+
+
+def _cached_and_fresh_agree(trace, rng):
+    """Ask a shuffled mix of queries on one posterior; each must match the
+    same query on a fresh posterior."""
+    places = trace.net.places
+    queries = [("marginal", (p,)) for p in places]
+    several = rng.choice(len(places), size=min(3, len(places)), replace=False)
+    queries += [("marginal", tuple(places[i] for i in several)),
+                ("joint", places), ("mass", ())]
+    rng.shuffle(queries)
+    cached = run(trace)
+    for kind, asked in queries:
+        fresh = run(trace)
+        got_raw, got_order, got_stats = cached.query_stats(asked)
+        raw, order, stats = fresh.query_stats(asked)
+        assert got_stats == stats
+        assert got_order.width == order.width
+        assert np.allclose(got_raw.data, raw.data, rtol=1e-12, atol=0.0)
+        if kind == "mass":
+            assert cached.mass() == pytest.approx(fresh.mass(), rel=1e-12,
+                                                  abs=0.0)
+        elif raw.mass() == 0.0:
+            with pytest.raises(InconsistentEvidence):
+                _ask(cached, kind, asked)
+        else:
+            want = _ask(fresh, kind, asked)
+            assert _ask(cached, kind, asked).allclose(want, atol=1e-12)
+
+
+def test_cached_queries_match_fresh_posteriors(rng):
+    for k in range(6):
+        trace = random_trace(rng, places=6, transitions=8, steps=5,
+                             semantics="stochastic" if k % 2 else "independent")
+        _cached_and_fresh_agree(trace, rng)
+
+
+def test_cached_queries_match_fresh_with_pins_and_zero_mass(rng):
+    net = nets.gossip_net()
+    step = nets.gossip_step()
+    pinned = ObservationTrace(net, PriorSpec(marginals=(
+        ("K1", 1.0), ("K2", 0.0), ("K3", 0.5), ("K4", 0.5))),
+        ((step, "success"), (step, "failure")))
+    joint_point = ObservationTrace(
+        net, PriorSpec(joint=ProbVector.point(4, "1000")),
+        ((step, "success"),))
+    zero = ObservationTrace(
+        nets.detector_net(), PriorSpec(joint=ProbVector(1, [1.0, 0.0])),
+        ((nets.detector_step(0.0, 0.7), "success"),))
+    assert run(zero).mass() == 0.0
+    for trace in (pinned, joint_point, zero):
+        _cached_and_fresh_agree(trace, rng)
+
+
+def test_cached_queries_match_fresh_when_escalating(rng):
+    _cached_and_fresh_agree(nets.wide_trace(np.random.default_rng(0)), rng)
 
 
 # -- trace documents -----------------------------------------------------------

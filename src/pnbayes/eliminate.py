@@ -21,7 +21,9 @@ request.
 Preparation comes in two halves.  The base (``_Base``) depends only on
 the network: the merged wire classes, the pins, the classes some node
 reads, and each node's factor over every target that is read or is an
-output.  A query derives its problem from the base cheaply: it sums the
+output, or its sparse matrix over the same targets when a grouped step
+contracts it.  Both are built from one reader of the node's matrix
+entries.  A query derives its problem from the base cheaply: it sums the
 outputs it drops out of their factors and picks the nodes to keep as
 matrices.  A ``PreparedNet`` keeps one base for many queries.
 
@@ -59,6 +61,10 @@ BULK_NODE_BITS = 20
 # wires goes the grouped route, so the pool keeps only small tables and the
 # schedule follows the wiring order
 GROUP_NODE_BITS = 6
+
+# a node's matrix for a grouped step: (source wires, target wires, matrix
+# with rows over the targets and columns over the sources)
+_Grouped = tuple[tuple[Wire, ...], tuple[Wire, ...], sp.csr_matrix]
 
 
 # -- factors ------------------------------------------------------------------
@@ -246,34 +252,40 @@ class _UnionFind:
 
 # -- factor construction ------------------------------------------------------
 
-def _gather_positions(stream, pinned):
-    """Shared consistency machinery: ``stream`` yields (wire, bits) pairs.
+def _gather_positions(streams, vals: np.ndarray, pinned: dict[Wire, int]
+                      ) -> tuple[list[Wire], np.ndarray, np.ndarray]:
+    """Place each entry at its index over the streams' wires.
 
-    Returns (sorted unique unpinned wires, flat index array, keep mask).
-    Repeated wires must agree bitwise; pinned wires must match their pin.
+    A stream is a ``(wire, index, shift)`` triple: the wire's bit of entry
+    k is ``(index[k] >> shift) & 1``.  Returns the sorted unique unpinned
+    wires, each entry's flat index over them (first wire most
+    significant), and ``vals`` with every entry zeroed whose repeated
+    wires disagree or whose pinned wire differs from its pin.  Bits are
+    computed one wire at a time.
     """
-    pairs = list(stream)
-    unique = sorted({w for w, _ in pairs if w not in pinned})
-    shift = {w: len(unique) - 1 - k for k, w in enumerate(unique)}
+    unique = sorted({w for w, _, _ in streams if w not in pinned})
     if len(unique) > MAX_FACTOR_BITS:
         raise TooLarge(f"factor over {len(unique)} wires exceeds the "
                        f"2^{MAX_FACTOR_BITS} guard")
-    flat = None
+    slot = {w: len(unique) - 1 - k for k, w in enumerate(unique)}
+    flat = np.zeros(vals.shape[0], dtype=np.int64)
     ok = None
-    seen: dict[Wire, np.ndarray] = {}
-    for w, bits in pairs:
+    placed: set[Wire] = set()
+    for w, index, shift in streams:
+        bits = (index >> shift) & 1
         if w in pinned:
             cond = bits == pinned[w]
-            ok = cond if ok is None else ok & cond
+        elif w in placed:
+            cond = bits == ((flat >> slot[w]) & 1)
+        else:
+            placed.add(w)
+            bits <<= slot[w]
+            flat |= bits
             continue
-        if w in seen:
-            cond = bits == seen[w]
-            ok = cond if ok is None else ok & cond
-            continue
-        seen[w] = bits
-        term = bits.astype(np.int64) << shift[w]
-        flat = term if flat is None else flat | term
-    return unique, flat, ok
+        ok = cond if ok is None else ok & cond
+    if ok is not None:
+        vals = np.where(ok, vals, 0.0)
+    return unique, flat, vals
 
 
 def _entries(mat: TypedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,52 +304,46 @@ def _entries(mat: TypedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, dense[rows, cols]
 
 
-def _node_factor(mat: TypedMatrix, src: tuple[Wire, ...],
-                 tgt: tuple[Wire, ...], live: Sequence[bool],
-                 pinned: dict[Wire, int]) -> Factor:
+def _bit_streams(node: _Node):
+    """A node's nonzero values with its sources and its live targets as
+    ``(wire, index, shift)`` streams over the entries of its matrix."""
+    rows, cols, vals = _entries(node.mat)
+    n, m = node.mat.in_arity, node.mat.out_arity
+    sources = [(w, cols, n - 1 - j) for j, w in enumerate(node.src)]
+    targets = [(w, rows, m - p)
+               for p, (w, alive) in enumerate(zip(node.tgt, node.live), 1)
+               if alive]
+    return vals, sources, targets
+
+
+def _node_factor(node: _Node, pinned: dict[Wire, int]) -> Factor:
     """Build a node's factor over its source wires and live target wires.
 
     Dead target wires (read by nobody, not outputs) are summed out on the
     fly; the construction walks the matrix nonzeros, so large sparse
-    updates never materialize a dense table over all their wires.
+    updates never materialize a dense table over all their wires.  A
+    diagonal node's sources are its merged input/output classes.
     """
-    n, m = mat.in_arity, mat.out_arity
-    rows, cols, vals = _entries(mat)
-
-    def stream():
-        for j, w in enumerate(src):
-            yield w, (cols >> (n - 1 - j)) & 1
-        for p, w in enumerate(tgt, start=1):
-            if live[p - 1]:
-                yield w, (rows >> (m - p)) & 1
-
-    unique, flat, ok = _gather_positions(stream(), pinned)
-    if ok is not None:
-        vals = np.where(ok, vals, 0.0)
-    if flat is None:
-        flat = np.zeros(vals.shape[0], dtype=np.int64)
+    vals, sources, targets = _bit_streams(node)
+    unique, flat, vals = _gather_positions(sources + targets, vals, pinned)
     table = np.bincount(flat, weights=vals, minlength=1 << len(unique))
     return Factor(tuple(unique), table)
 
 
-def _diagonal_factor(mat: TypedMatrix, pairs: tuple[Wire, ...],
-                     pinned: dict[Wire, int]) -> Factor:
-    """The merged-wire factor of a diagonal node: one wire per in/out pair,
-    weighted by the diagonal."""
-    ell = mat.in_arity
-    diag = mat.diag_vector()
-    idx = np.arange(1 << ell, dtype=np.int64)
+def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
+    """The node's matrix as rows over live targets, columns over sources.
 
-    def stream():
-        for j, w in enumerate(pairs):
-            yield w, (idx >> (ell - 1 - j)) & 1
-
-    unique, flat, ok = _gather_positions(stream(), pinned)
-    vals = diag if ok is None else np.where(ok, diag, 0.0)
-    if flat is None:
-        flat = np.zeros(vals.shape[0], dtype=np.int64)
-    table = np.bincount(flat, weights=vals, minlength=1 << len(unique))
-    return Factor(tuple(unique), table)
+    Dead targets are summed out and pinned wires sliced away, both by
+    accumulating coordinate duplicates; wires index bits in ascending
+    order on each side.
+    """
+    vals, sources, targets = _bit_streams(node)
+    ins, cols, vals = _gather_positions(sources, vals, pinned)
+    outs, rows, vals = _gather_positions(targets, vals, pinned)
+    keep = vals != 0.0
+    reduced = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                            shape=(1 << len(outs), 1 << len(ins)))
+    return tuple(ins), tuple(outs), reduced
 
 
 # -- prepared elimination problems --------------------------------------------
@@ -384,16 +390,10 @@ def _is_point_mass(mat: TypedMatrix) -> int | None:
     """The unique output bitstring of a point-mass source, else None."""
     if mat.in_arity != 0:
         return None
-    if mat.is_sparse:
-        coo = mat.to_sparse().tocoo()
-        heavy = np.flatnonzero(coo.data > POINT_EPS)
-        if heavy.shape[0] == 1 and abs(coo.data[heavy[0]] - 1) <= POINT_EPS:
-            return int(coo.row[heavy[0]])
-        return None
-    col = mat.diag_vector() if mat.is_diagonal else mat.to_dense()[:, 0]
-    heavy = np.flatnonzero(col > POINT_EPS)
-    if heavy.shape[0] == 1 and abs(col[heavy[0]] - 1) <= POINT_EPS:
-        return int(heavy[0])
+    rows, _, vals = _entries(mat)
+    heavy = np.flatnonzero(vals > POINT_EPS)
+    if heavy.shape[0] == 1 and abs(vals[heavy[0]] - 1) <= POINT_EPS:
+        return int(rows[heavy[0]])
     return None
 
 
@@ -401,13 +401,14 @@ class _Base:
     """The query-independent half of preparing a network.
 
     It holds the merged diagonal wire classes, the point-mass pins, the
-    classes some node reads, and each node's factor once a query first
-    asks for it.  With ``fold``, a node's base factor spans the targets
-    that are read or are outputs of the network, and a query that drops
-    an output sums it out of its single producing factor, which is what
-    folding it at construction would give.  A node whose base factor would
-    span more than BULK_NODE_BITS wires is not kept; each query that needs
-    its table builds its own.
+    classes some node reads, and each node's factor, or its sparse matrix
+    for a grouped step, once a query first asks for it.  With ``fold``,
+    both span the node's targets that are read or are outputs of the
+    network.  A query that drops an output sums it out of its single
+    producing factor, which is what folding it at construction would give;
+    a grouped step keeps it in its result, where it is confined and summed
+    out next.  A node whose base factor would span more than BULK_NODE_BITS
+    wires is not kept; each query that needs its table builds its own.
     """
 
     def __init__(self, net: MBN, merge_diagonal: bool, fold: bool,
@@ -465,6 +466,7 @@ class _Base:
         self.fold = fold
         self.read = read
         self._tables: dict[int, Factor] = {}
+        self._matrices: dict[int, _Grouped] = {}
 
     def problem(self, graph: CausalityGraph,
                 bulk_bits: int | None = None) -> _Problem:
@@ -478,15 +480,17 @@ class _Base:
         kept = self.read | {rep[w] for w in graph.out}
         tabulated: list[tuple[int, tuple[bool, ...]]] = []
         scopes: list[frozenset[Wire]] = []
-        lazy: list[_Node] = []
+        lazy: list[tuple[int, tuple[bool, ...]]] = []
+        in_factors: set[Wire] = set()
         for node in self.nodes.values():
             live = node.live
             if self.fold:
                 live = tuple(w in kept for w in node.tgt)
             scope = node.scope(pinned, live)
+            in_factors.update(scope)
             if (bulk_bits is not None and not node.diagonal
                     and len(scope) > bulk_bits):
-                lazy.append(replace(node, live=live))
+                lazy.append((node.index, live))
                 continue
             tabulated.append((node.index, live))
             scopes.append(scope)
@@ -494,28 +498,19 @@ class _Base:
         ext_slots = tuple(rep[w] for w in graph.inputs()) + \
             tuple(rep[w] for w in graph.out)
         external = set(ext_slots)
-        in_factors = set()
-        for scope in scopes:
-            in_factors.update(scope)
-        for node in lazy:
-            in_factors.update(node.scope(pinned))
         internal = tuple(sorted(w for w in in_factors if w not in external))
         return _Problem(self, tabulated, scopes, internal, ext_slots,
-                        graph.in_arity, graph.out_arity, tuple(lazy))
+                        graph.in_arity, graph.out_arity, lazy)
 
     def factor(self, index: int, live: tuple[bool, ...]) -> Factor:
         """Node ``index``'s factor over its ``live`` targets."""
         node = self.nodes[index]
         full = self._tables.get(index)
         if full is None:
-            if node.diagonal:
-                full = _diagonal_factor(node.mat, node.src, self.pinned)
-            elif len(node.scope(self.pinned)) > BULK_NODE_BITS:
-                return _node_factor(node.mat, node.src, node.tgt, live,
-                                    self.pinned)
-            else:
-                full = _node_factor(node.mat, node.src, node.tgt, node.live,
-                                    self.pinned)
+            if (not node.diagonal
+                    and len(node.scope(self.pinned)) > BULK_NODE_BITS):
+                return _node_factor(replace(node, live=live), self.pinned)
+            full = _node_factor(node, self.pinned)
             # shared by every query on this base, so never written to
             full.table.flags.writeable = False
             self._tables[index] = full
@@ -527,11 +522,21 @@ class _Base:
         wires = tuple(w for a, w in enumerate(full.wires) if a not in dead)
         return Factor(wires, table)
 
+    def matrix(self, index: int) -> _Grouped:
+        """Node ``index``'s matrix for a grouped step, over the targets
+        that are read or are outputs of the network."""
+        got = self._matrices.get(index)
+        if got is None:
+            got = _node_matrix(self.nodes[index], self.pinned)
+            self._matrices[index] = got
+        return got
+
 
 @dataclass
 class _Problem:
-    """One query against a base: which nodes it tabulates over which live
-    targets, which it keeps as matrices, and its internal wires."""
+    """One query against a base: which nodes it tabulates and which it
+    keeps as matrices, each with its live targets, and its internal
+    wires."""
 
     base: _Base
     tabulated: list[tuple[int, tuple[bool, ...]]]
@@ -540,7 +545,7 @@ class _Problem:
     ext_slots: tuple[Wire, ...]
     in_arity: int
     out_arity: int
-    lazy: tuple[_Node, ...] = ()
+    lazy: list[tuple[int, tuple[bool, ...]]]
 
     def factors(self) -> list[Factor]:
         return [self.base.factor(v, live) for v, live in self.tabulated]
@@ -631,54 +636,15 @@ def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
     return np.ascontiguousarray(product).ravel()
 
 
-def _reduced_matrix(node: _Node, pinned: dict[Wire, int]
-                    ) -> tuple[tuple[Wire, ...], tuple[Wire, ...],
-                               sp.csr_matrix]:
-    """The node's matrix as rows over live targets, columns over sources.
-
-    Dead targets are summed out and pinned wires sliced away, both by
-    accumulating coordinate duplicates; wires index bits in ascending
-    order on each side.
-    """
-    n, m = node.mat.in_arity, node.mat.out_arity
-    rows, cols, vals = _entries(node.mat)
-
-    def src_stream():
-        for j, w in enumerate(node.src):
-            yield w, (cols >> (n - 1 - j)) & 1
-
-    def tgt_stream():
-        for p, w in enumerate(node.tgt, start=1):
-            if node.live[p - 1]:
-                yield w, (rows >> (m - p)) & 1
-
-    ins, col_flat, ok_c = _gather_positions(src_stream(), pinned)
-    outs, row_flat, ok_r = _gather_positions(tgt_stream(), pinned)
-    keep = np.ones(vals.shape[0], dtype=bool)
-    if ok_c is not None:
-        keep &= ok_c
-    if ok_r is not None:
-        keep &= ok_r
-    if col_flat is None:
-        col_flat = np.zeros(vals.shape[0], dtype=np.int64)
-    if row_flat is None:
-        row_flat = np.zeros(vals.shape[0], dtype=np.int64)
-    reduced = sp.coo_matrix(
-        (vals[keep], (row_flat[keep], col_flat[keep])),
-        shape=(1 << len(outs), 1 << len(ins))).tocsr()
-    return tuple(ins), tuple(outs), reduced
-
-
-def _apply_lazy(node: _Node, factors: list[Factor],
-                pinned: dict[Wire, int], stats: ElimStats
+def _apply_lazy(matrix: _Grouped, factors: list[Factor], stats: ElimStats
                 ) -> tuple[list[Factor], tuple[Wire, ...]]:
     """Contract one oversized node in a single grouped step.
 
     Joins the factors meeting the node's inputs, sums all inputs out
-    through the reduced matrix and returns the surviving factors plus the
-    wires this step eliminated.
+    through the node's ``matrix`` (from ``_Base.matrix``) and returns the
+    surviving factors plus the wires this step eliminated.
     """
-    ins, outs, reduced = _reduced_matrix(node, pinned)
+    ins, outs, reduced = matrix
     in_set = set(ins)
     touched = [f for f in factors if in_set.intersection(f.wires)]
     rest = [f for f in factors if not in_set.intersection(f.wires)]
@@ -748,17 +714,19 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
     """Grouped contraction of the oversized nodes, in wiring order, then
     ordinary min-degree elimination of whatever wires remain."""
     external = set(problem.ext_slots)
-    pinned = problem.base.pinned
+    base = problem.base
+    pinned = base.pinned
     # a grouped step sums out every input at once, so it must own them:
     # nodes reading external wires or wires another oversized node also
     # reads fall back to a table (the factor guard rules on feasibility)
     grouped: list[_Node] = []
     demoted: list[Factor] = []
     taken: set[Wire] = set()
-    for node in problem.lazy:
+    for index, live in problem.lazy:
+        node = base.nodes[index]
         ins = {w for w in node.src if w not in pinned}
         if ins & external or ins & taken:
-            demoted.append(problem.base.factor(node.index, node.live))
+            demoted.append(base.factor(index, live))
             continue
         taken |= ins
         grouped.append(node)
@@ -771,7 +739,8 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
         for later in grouped[i:]:
             protected.update(later.scope(pinned))
         factors = _sweep_confined(factors, protected, eliminated)
-        factors, consumed = _apply_lazy(node, factors, pinned, stats)
+        factors, consumed = _apply_lazy(base.matrix(node.index), factors,
+                                        stats)
         eliminated.extend(consumed)
     factors = _sweep_confined(factors, external, eliminated)
     done = set(eliminated)
@@ -865,18 +834,17 @@ def run_elimination(net: MBN, order: ElimOrder | Sequence[Wire],
     return run_elimination_stats(net, order, merge_diagonal)[0]
 
 
-def scheduled_eliminate(net: MBN | PreparedNet,
-                        bulk_bits: int = BULK_NODE_BITS
+def scheduled_eliminate(net: MBN | PreparedNet
                         ) -> tuple[TypedMatrix, ElimOrder, ElimStats]:
     """The query path: always fold dead outputs, merge diagonal wires and
     pin point masses, then eliminate the internal wires by min-degree.
 
     ``net`` is a network or a ``PreparedNet``.  A network is prepared for
     this call alone; a ``PreparedNet`` builds its base on its first call and
-    shares it, and every node factor built from it, with later calls on it
-    and its restrictions.
+    shares it, and every node factor and grouped-step matrix built from it,
+    with later calls on it and its restrictions.
 
-    Nodes whose factor would span more than ``bulk_bits`` live wires are
+    Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when no tabulated
     min-degree run would fit the factor guard, the run escalates: every
     node over GROUP_NODE_BITS live wires is kept as a sparse matrix and
@@ -884,12 +852,13 @@ def scheduled_eliminate(net: MBN | PreparedNet,
     is derived from the same base, so escalating prepares nothing twice,
     and no table is built before the route is chosen.  The returned order
     then lists the wires in the sequence actually summed out and reports
-    the realized width (the widest table the run produced).
+    the realized width (the widest table the run produced).  Both
+    thresholds are read when the call starts.
     """
     prepared = net if isinstance(net, PreparedNet) else PreparedNet(net)
     base = prepared.base()
     graph = prepared.net.graph
-    problem = base.problem(graph, bulk_bits)
+    problem = base.problem(graph, BULK_NODE_BITS)
     stats = ElimStats()
     if not problem.lazy:
         plan = _greedy_order(problem.vertices(), problem.scopes,
@@ -902,7 +871,7 @@ def scheduled_eliminate(net: MBN | PreparedNet,
                 stats.track(f.size)
             left = _run(factors, plan.wires, stats)
             return _combine(problem, left), plan, stats
-    problem = base.problem(graph, min(bulk_bits, GROUP_NODE_BITS))
+    problem = base.problem(graph, GROUP_NODE_BITS)
     if base.zero:
         return _combine(problem, []), ElimOrder((), 0), stats
     left, sequence = _run_hybrid(problem, stats)

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .bitmatrix import ProbVector, TypedMatrix, _finalize_sparse
+from .bitmatrix import (DENSIFY_BITS, ProbVector, TypedMatrix,
+                        _finalize_sparse)
 from .causality import CausalityGraph, Generator, Wire, node_graph, validate
 from .chain import OBSERVATIONS, SUCCESS
 from .errors import MissingPlace, TooLarge, TypeMismatch, ValidationError
@@ -214,6 +215,11 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
     if not np.any(vals[rows != cols]):
         pmat = TypedMatrix.diagonal(
             np.bincount(rows, weights=vals, minlength=size))
+    elif 2 * ell <= DENSIFY_BITS:
+        dense = np.bincount(rows * size + cols, weights=vals,
+                            minlength=size * size)
+        pmat = TypedMatrix(ell, ell, dense=dense.reshape(size, size),
+                           check=False)
     else:
         mat = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
         pmat = _finalize_sparse(mat, ell, ell)

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pnbayes import eliminate
 from pnbayes.causality import Generator, Wire, node_graph, seq
 from pnbayes.eliminate import (ConstT, GenT, SeqT, TensorT, TreeDecomposition,
                                elimination_width_exact, initial_factors,
@@ -15,7 +16,8 @@ from pnbayes.eliminate import (ConstT, GenT, SeqT, TensorT, TreeDecomposition,
 from pnbayes.errors import (BadOrder, TooLarge, TypeMismatch,
                             ValidationError)
 from pnbayes.mbn import (attach_update, build_update, eval_naive,
-                         prior_point, terminate, uniform_prior)
+                         prior_independent, prior_point, terminate,
+                         uniform_prior)
 
 import reference_nets as nets
 
@@ -39,6 +41,29 @@ def test_initial_factors_carry_node_scopes():
                     if f.wires == (w["A"], w["B"], w["D"]))
     assert d_factor.entry(0b101) == pytest.approx(
         net.ev["D"].entry("1", "10"))
+
+
+def test_gather_positions_on_streams():
+    a, b, c = Wire(0, 1), Wire(1, 1), Wire(2, 1)
+    index = np.arange(8, dtype=np.int64)
+    vals = np.arange(1.0, 9.0)
+    # entry k: a is bit 2; b is read twice, as bits 1 and 0; c, pinned to
+    # 1, is bit 0 again
+    streams = [(b, index, 1), (a, index, 2), (b, index, 0), (c, index, 0)]
+    wires, flat, got = eliminate._gather_positions(streams, vals, {c: 1})
+    assert wires == [a, b]
+    assert flat.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]  # a is most significant
+    # kept only where both reads of b agree and c matches its pin
+    assert got.tolist() == [0, 0, 0, 4.0, 0, 0, 0, 8.0]
+    assert vals.tolist() == list(np.arange(1.0, 9.0))
+
+    wide = [(Wire(k, 1), index, 0)
+            for k in range(eliminate.MAX_FACTOR_BITS + 1)]
+    with pytest.raises(TooLarge, match="guard"):
+        eliminate._gather_positions(wide, vals, {})
+    pinned = {Wire(0, 1): 0}
+    wires, _, _ = eliminate._gather_positions(wide, vals, pinned)
+    assert len(wires) == eliminate.MAX_FACTOR_BITS
 
 
 # -- orders and widths ---------------------------------------------------------
@@ -120,7 +145,7 @@ def test_run_elimination_rejects_bad_orders():
         run_elimination(net, ())
 
 
-def test_scheduled_matches_naive_on_random_nets(rng):
+def test_scheduled_matches_naive_on_random_nets(rng, monkeypatch):
     checked = 0
     while checked < 40:
         net = nets.random_mbn(rng)
@@ -131,7 +156,10 @@ def test_scheduled_matches_naive_on_random_nets(rng):
         mat, _, _ = scheduled_eliminate(net)
         assert mat.allclose(ref, atol=1e-9)
         # forcing the grouped path must not change the value
-        grouped, _, _ = scheduled_eliminate(net, bulk_bits=1)
+        with monkeypatch.context() as forced:
+            forced.setattr(eliminate, "BULK_NODE_BITS", 1)
+            forced.setattr(eliminate, "GROUP_NODE_BITS", 1)
+            grouped, _, _ = scheduled_eliminate(net)
         assert grouped.allclose(ref, atol=1e-9)
 
 
@@ -161,7 +189,8 @@ def test_scheduled_reports_realized_width(gossip_net, gossip_step):
     assert stats.contractions >= 1
 
 
-def test_point_mass_pinning_shrinks_factors(gossip_net, gossip_step):
+def test_point_mass_pinning_shrinks_factors(gossip_net, gossip_step,
+                                            monkeypatch):
     posterior = attach_update(prior_point(gossip_net, "1100"),
                               build_update(gossip_net, gossip_step),
                               "success")
@@ -172,6 +201,18 @@ def test_point_mass_pinning_shrinks_factors(gossip_net, gossip_step):
     assert pinned.allclose(ref, atol=1e-12)
     assert plain.allclose(ref, atol=1e-12)
     assert s1.max_factor_wires <= s2.max_factor_wires
+    # per-place point masses pin some of the update's sources; the grouped
+    # route must slice them out of the update's matrix
+    prior = prior_independent(gossip_net, {"K1": 1.0, "K2": 0.0, "K3": 0.5,
+                                           "K4": 0.5})
+    marg = terminate(attach_update(prior, build_update(gossip_net,
+                                                       gossip_step),
+                                   "success"), ["K3"])
+    with monkeypatch.context() as forced:
+        forced.setattr(eliminate, "BULK_NODE_BITS", 1)
+        forced.setattr(eliminate, "GROUP_NODE_BITS", 1)
+        grouped, _, _ = scheduled_eliminate(marg)
+    assert grouped.allclose(eval_naive(marg), atol=1e-12)
 
 
 def test_diagonal_merge_equivalence(gossip_net):

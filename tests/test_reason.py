@@ -109,19 +109,20 @@ def test_run_rejects_unknown_observation():
 
 # -- queries sharing one posterior's preparation ------------------------------
 
-def _count_tabulations(monkeypatch) -> dict[int, int]:
-    """Count factor constructions per node matrix."""
-    counts: dict[int, int] = {}
+def _count_tabulations(monkeypatch) -> dict[tuple[str, int], int]:
+    """Count table and grouped-matrix constructions per node."""
+    counts: dict[tuple[str, int], int] = {}
 
     def counted(build):
-        def wrapper(mat, *args):
-            counts[id(mat)] = counts.get(id(mat), 0) + 1
-            return build(mat, *args)
+        def wrapper(node, *args):
+            key = (build.__name__, node.index)
+            counts[key] = counts.get(key, 0) + 1
+            return build(node, *args)
         return wrapper
     monkeypatch.setattr(eliminate, "_node_factor",
                         counted(eliminate._node_factor))
-    monkeypatch.setattr(eliminate, "_diagonal_factor",
-                        counted(eliminate._diagonal_factor))
+    monkeypatch.setattr(eliminate, "_node_matrix",
+                        counted(eliminate._node_matrix))
     return counts
 
 
@@ -146,6 +147,8 @@ def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
     posterior.mass()
     assert counts and max(counts.values()) == 1
     assert len(escalated) == escalations
+    grouped = [key for key in counts if key[0] == "_node_matrix"]
+    assert bool(grouped) == bool(escalations)
 
 
 def test_preparation_lives_and_dies_with_the_posterior():

@@ -27,6 +27,11 @@ entries.  A query derives its problem from the base cheaply: it sums the
 outputs it drops out of their factors and picks the nodes to keep as
 matrices.  A ``PreparedNet`` keeps one base for many queries.
 
+The base lives on the network (``MBN.preparation``).  A network from
+``mbn.attach_update`` holds its parent's base until its first query, which
+extends that base by the new node: the older classes, pins and node
+records stay valid as they are, so their tables are shared, not rebuilt.
+
 Nodes whose factor would not fit in memory (sparse update matrices over
 many wires) are never tabulated.  The scheduler keeps them as matrices and
 contracts each in a single grouped step: the dense factors touching its
@@ -229,8 +234,8 @@ def elimination_width_exact(net: MBN | CausalityGraph,
 # -- union-find for diagonal wire merging -------------------------------------
 
 class _UnionFind:
-    def __init__(self):
-        self.parent: dict[Wire, Wire] = {}
+    def __init__(self, parent: dict[Wire, Wire]):
+        self.parent = parent
 
     def find(self, w: Wire) -> Wire:
         root = w
@@ -409,27 +414,54 @@ class _Base:
     a grouped step keeps it in its result, where it is confined and summed
     out next.  A node whose base factor would span more than BULK_NODE_BITS
     wires is not kept; each query that needs its table builds its own.
+
+    A base is built node by node on top of a ``parent`` base, or of the
+    empty base.  The parent's records are taken as they are, which is
+    right when the network's first nodes are the parent's (see
+    ``_extends``) and no older target changes between read-or-output and
+    dead (``kept``).  Adding later nodes never changes an older class:
+    each new wire joins the class of a wire it is merged with, and it is
+    larger than every older wire, so the smallest wire stays the
+    representative.  The parent's cached tables and matrices are shared;
+    the dicts that hold them are copied.
     """
 
     def __init__(self, net: MBN, merge_diagonal: bool, fold: bool,
-                 pin: bool):
+                 pin: bool, parent: _Base | None = None):
         graph = net.graph
-        uf = _UnionFind()
+        if parent is None:
+            first, fresh = 0, list(graph.inputs())
+            rep: dict[Wire, Wire] = {}
+            pinned: dict[Wire, int] = {}
+            zero, read = False, set()
+            nodes: dict[int, _Node] = {}
+            tables: dict[int, Factor] = {}
+            matrices: dict[int, _Grouped] = {}
+        else:
+            first, fresh = parent.graph.node_count, []
+            rep, pinned = dict(parent.rep), dict(parent.pinned)
+            zero, read = parent.zero, set(parent.read)
+            nodes = dict(parent.nodes)
+            tables, matrices = dict(parent._tables), dict(parent._matrices)
+        added = range(first, graph.node_count)
+        for v in added:
+            fresh.extend(graph.ports(v))
+
+        uf = _UnionFind(rep)
         diagonal_nodes = set()
         if merge_diagonal:
-            for v in range(graph.node_count):
+            for v in added:
                 mat = net.matrix(graph.gens[v].name)
                 if mat.is_diagonal and mat.in_arity > 0:
                     diagonal_nodes.add(v)
                     for j, w in enumerate(graph.sources[v]):
                         uf.union(w, Wire(v, j + 1))
-        rep = {w: uf.find(w) for w in graph.wires()}
+        for w in fresh:
+            rep[w] = uf.find(w)
 
-        pinned: dict[Wire, int] = {}
-        zero = False
         skipped = set()
         if pin:
-            for v in range(graph.node_count):
+            for v in added:
                 if v in diagonal_nodes or graph.gens[v].in_arity != 0:
                     continue
                 point = _is_point_mass(net.matrix(graph.gens[v].name))
@@ -443,30 +475,44 @@ class _Base:
                     if pinned.setdefault(w, bit) != bit:
                         zero = True
 
-        read = {rep[w] for v in range(graph.node_count)
-                if v not in skipped
-                for w in graph.sources[v]}
+        read.update(rep[w] for v in added if v not in skipped
+                    for w in graph.sources[v])
         kept = read | {rep[w] for w in graph.out}
-        self.nodes: dict[int, _Node] = {}
-        for v in range(graph.node_count):
+        for v in added:
             if v in skipped:
                 continue
             gen = graph.gens[v]
             mat = net.matrix(gen.name)
             src = tuple(rep[w] for w in graph.sources[v])
             if v in diagonal_nodes:
-                self.nodes[v] = _Node(v, mat, src, (), (), diagonal=True)
+                nodes[v] = _Node(v, mat, src, (), (), diagonal=True)
                 continue
             tgt = tuple(rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
             live = tuple(not fold or w in kept for w in tgt)
-            self.nodes[v] = _Node(v, mat, src, tgt, live)
+            nodes[v] = _Node(v, mat, src, tgt, live)
+        self.graph = graph
+        self.ev = net.ev
         self.rep = rep
         self.pinned = pinned
         self.zero = zero
         self.fold = fold
         self.read = read
-        self._tables: dict[int, Factor] = {}
-        self._matrices: dict[int, _Grouped] = {}
+        self.kept = kept
+        self.nodes = nodes
+        self._tables = tables
+        self._matrices = matrices
+
+    def _extends(self, net: MBN) -> bool:
+        """Whether ``net`` starts with this base's network: the same
+        inputs, and the same first nodes reading the same wires and
+        evaluated by the same matrix objects."""
+        mine, graph = self.graph, net.graph
+        n = mine.node_count
+        return (graph.in_arity == mine.in_arity
+                and graph.gens[:n] == mine.gens
+                and graph.sources[:n] == mine.sources
+                and all(net.ev.get(g.name) is self.ev[g.name]
+                        for g in mine.gens))
 
     def problem(self, graph: CausalityGraph,
                 bulk_bits: int | None = None) -> _Problem:
@@ -557,6 +603,33 @@ class _Problem:
         return verts
 
 
+def _query_base(net: MBN) -> _Base:
+    """The query base of ``net``, kept on the network.
+
+    A network that holds its own base returns it.  One that holds another
+    base, handed on by ``attach_update``, extends it by the new nodes when
+    ``net`` starts with that base's network and the older records still
+    hold; otherwise, and for a network that holds nothing, the base is
+    built from the empty one.  The new base replaces the held one, so a
+    chain of networks keeps at most one older base alive.
+    """
+    held = net.preparation
+    if held is not None and held.graph is net.graph and held.ev is net.ev:
+        return held
+    base = None
+    if held is not None and held._extends(net):
+        base = _Base(net, merge_diagonal=True, fold=True, pin=True,
+                     parent=held)
+        n = held.graph.node_count
+        if {w for w in base.kept if w.node < n} != held.kept:
+            base = None
+    if base is None:
+        base = _Base(net, merge_diagonal=True, fold=True, pin=True)
+    # the network is frozen; its preparation is a cache beside its fields
+    object.__setattr__(net, "preparation", base)
+    return base
+
+
 class PreparedNet:
     """A network whose query-independent preparation is built once.
 
@@ -565,7 +638,9 @@ class PreparedNet:
     ``restrict``, builds the base (merged diagonal wire classes, point-mass
     pins, read classes) and every node factor that call needs; later calls
     reuse them and add only the factors they need that are still missing.
-    The tables live as long as this object and its restrictions.
+    The base is kept on ``net`` itself (``MBN.preparation``), so it lives
+    as long as the network, and a network from ``attach_update`` extends
+    its parent's base instead of building its own from nothing.
     """
 
     def __init__(self, net: MBN):
@@ -573,7 +648,6 @@ class PreparedNet:
         # a restriction points at the network it restricts; the owner
         # points at nothing, so no reference cycle delays freeing the base
         self._owner: PreparedNet | None = None
-        self._base: _Base | None = None
 
     def restrict(self, places: Iterable[str]) -> PreparedNet:
         """The same network with only ``places`` as outputs, sharing this
@@ -584,11 +658,7 @@ class PreparedNet:
         return view
 
     def base(self) -> _Base:
-        owner = self._owner or self
-        if owner._base is None:
-            owner._base = _Base(owner.net, merge_diagonal=True, fold=True,
-                                pin=True)
-        return owner._base
+        return _query_base((self._owner or self).net)
 
 
 # -- running an elimination ---------------------------------------------------
@@ -839,10 +909,12 @@ def scheduled_eliminate(net: MBN | PreparedNet
     """The query path: always fold dead outputs, merge diagonal wires and
     pin point masses, then eliminate the internal wires by min-degree.
 
-    ``net`` is a network or a ``PreparedNet``.  A network is prepared for
-    this call alone; a ``PreparedNet`` builds its base on its first call and
-    shares it, and every node factor and grouped-step matrix built from it,
-    with later calls on it and its restrictions.
+    ``net`` is a network or a ``PreparedNet``.  Either way the base is
+    kept on the network: a bare network keeps it too, and a later call on
+    the same network reuses it, with every node factor and grouped-step
+    matrix built from it.  A ``PreparedNet`` also shares it with its
+    restrictions.  A network from ``attach_update`` extends the base its
+    parent held instead of building one from nothing.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when no tabulated

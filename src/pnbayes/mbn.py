@@ -11,11 +11,16 @@ net's places in declaration order, place ``i`` owning output port ``i``.
 Observation updates attach one fresh node per step whose sources are the
 current wires of the relevant places, so the ``P' (x) Id`` structure of the
 update never needs explicit permutation or identity nodes.
+
+A network also carries its query preparation (``eliminate._Base``), built
+by its first prepared query.  Until then, a network returned by
+:func:`attach_update` holds the preparation its parent held, and its first
+query extends that by the new node instead of starting over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +40,10 @@ class MBN:
     graph: CausalityGraph
     ev: Mapping[str, TypedMatrix]
     places: tuple[str, ...] | None = None
+    # the query preparation (an eliminate._Base): this network's own once a
+    # prepared query built it, else what attach_update handed on from the
+    # parent; a cache, so neither compared nor shown
+    preparation: Any = field(default=None, compare=False, repr=False)
 
     def matrix(self, label: str) -> TypedMatrix:
         try:
@@ -244,6 +253,10 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     On success the node evaluates to P', on failure to the diagonal F'.
     The relevant places' ports move to the new node; everything else keeps
     its wire, which realizes the padded update without identity nodes.
+
+    The result holds the query preparation ``net`` holds, copying nothing.
+    Its first prepared query extends that preparation by the new node, so
+    an observer who queries after every step builds each node factor once.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")
@@ -263,7 +276,7 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
                            new_out)
     ev = dict(net.ev)
     ev[name] = up.pmat if obs == SUCCESS else up.fmat
-    return MBN(graph, ev, net.places)
+    return MBN(graph, ev, net.places, net.preparation)
 
 
 def terminate(net: MBN, keep: Iterable[str]) -> MBN:

@@ -11,7 +11,12 @@ whole observation sequence at once.
 All queries on one ``Posterior`` share one preparation of its network
 (``eliminate.PreparedNet``): the first query builds the node factors
 inside its ``scheduled_eliminate`` call, every later marginal, mass or
-joint query reuses them, and they are freed with the posterior.
+joint query reuses them, and they are freed with the network.  The
+preparation lives on the network, and it grows with each step:
+``Posterior.observe`` (like ``mbn.attach_update``, which it calls) hands
+it to the next network, whose first query extends it by the new node.  An
+observer who queries after every step thus builds each node factor once
+per trace.  ``run`` builds no preparation along the way.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -86,7 +91,8 @@ class Posterior:
     observations, and queries normalize at the end.  Every query on one
     posterior shares one preparation of the network: its first query
     builds the node factors, later queries reuse them, and they are freed
-    with the posterior.
+    with the network.  The posterior from ``observe`` extends that
+    preparation instead of building its own.
     """
 
     net: CENet
@@ -120,6 +126,16 @@ class Posterior:
     def joint(self) -> ProbVector:
         """Normalized posterior over all places (dense in the place count)."""
         return self.marginal(self.net.places)
+
+    def observe(self, step: StepSpec, obs: str) -> Posterior:
+        """The posterior after one more step observed as ``obs``.
+
+        Its network is this one with the step's update node attached, and
+        its first query extends this posterior's preparation by that node,
+        so querying after every step builds each node factor once.
+        """
+        up = build_update(self.net, step)
+        return Posterior(self.net, attach_update(self.mbn, up, obs))
 
 
 def run(trace: ObservationTrace) -> Posterior:

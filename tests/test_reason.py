@@ -1,16 +1,22 @@
 """Observation traces, posteriors, and the trace file format."""
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pnbayes import eliminate
-from pnbayes.bitmatrix import ProbVector, normalize
+from pnbayes.bitmatrix import ProbVector, TypedMatrix, normalize
+from pnbayes.causality import CausalityGraph, Generator, Wire
 from pnbayes.chain import marginal_of
+from pnbayes.eliminate import scheduled_eliminate
 from pnbayes.errors import (InconsistentEvidence, MissingPlace, TooLarge,
                             ValidationError)
-from pnbayes.petri import CENet, net_to_json
+from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
+                         prior_independent, prior_joint, prior_point,
+                         terminate, uniform_prior)
+from pnbayes.petri import CENet, StepSpec, net_to_json
 from pnbayes.randnet import random_trace
 from pnbayes.reason import (ObservationTrace, Posterior, PriorSpec,
                             dense_posterior, load_trace, parse_prior,
@@ -222,6 +228,199 @@ def test_cached_queries_match_fresh_with_pins_and_zero_mass(rng):
 
 def test_cached_queries_match_fresh_when_escalating(rng):
     _cached_and_fresh_agree(nets.wide_trace(np.random.default_rng(0)), rng)
+
+
+# -- preparation carried from step to step ------------------------------------
+
+def _assert_fresh_base(base, net):
+    """``base`` equals the base built for ``net`` from nothing, field by
+    field, with the very same matrix objects in its node records."""
+    want = eliminate._Base(net, merge_diagonal=True, fold=True, pin=True)
+    assert base.rep == want.rep
+    assert base.read == want.read
+    assert base.pinned == want.pinned
+    assert base.zero == want.zero
+    assert list(base.nodes) == list(want.nodes)
+    for index, node in base.nodes.items():
+        other = want.nodes[index]
+        assert node.mat is other.mat
+        assert (node.src, node.tgt, node.live, node.diagonal) == \
+            (other.src, other.tgt, other.live, other.diagonal)
+
+
+def _online_trace(seed, semantics, prior_kind, zero_at):
+    """A random trace on a net with a ``noise`` transition that touches no
+    place, so a step of noise alone is a 0 -> 0 update: a unit scalar on
+    success, which the base skips as a point mass, and under the
+    independent semantics a scalar below 1 on failure.  ``zero_at`` puts
+    an impossible step (noise always fires, yet failure is observed) at
+    that position."""
+    rng = np.random.default_rng(seed)
+    drawn = random_trace(rng, places=6, transitions=8, steps=8,
+                         semantics=semantics)
+    net = CENet(drawn.net.places,
+                drawn.net.transitions + (("noise", (), ()),))
+    steps = list(drawn.steps)
+    steps.insert(2, (StepSpec(semantics, {"noise": 1.0}), "success"))
+    if semantics == "independent":
+        steps.insert(5, (StepSpec(semantics, {"noise": 0.4, "fail": 0.6}),
+                         "failure"))
+    if zero_at is not None:
+        steps.insert(zero_at, (StepSpec(semantics, {"noise": 1.0}),
+                               "failure"))
+    marginals = drawn.prior.marginals
+    prior = {
+        "marginals": drawn.prior,
+        "pinned": PriorSpec(marginals=((marginals[0][0], 1.0),
+                                       (marginals[1][0], 0.0))
+                            + marginals[2:]),
+        "joint": PriorSpec(joint=ProbVector.point(
+            6, int(rng.integers(1 << 6)))),
+    }[prior_kind]
+    return ObservationTrace(net, prior, tuple(steps))
+
+
+@pytest.mark.parametrize("semantics", ["independent", "stochastic"])
+@pytest.mark.parametrize("prior_kind, zero_at", [
+    ("marginals", None), ("pinned", 6), ("joint", None)])
+def test_online_posteriors_extend_their_parents_base(semantics, prior_kind,
+                                                     zero_at):
+    trace = _online_trace(11, semantics, prior_kind, zero_at)
+    rng = np.random.default_rng(12)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    posterior.mass()
+    diagonal = False
+    for step, obs in trace.steps:
+        held = posterior.mbn.preparation
+        posterior = posterior.observe(step, obs)
+        # the handoff copies nothing
+        assert posterior.mbn.preparation is held
+        mbn = posterior.mbn
+        unprepared = Posterior(trace.net, MBN(mbn.graph, mbn.ev, mbn.places))
+        place = trace.net.places[int(rng.integers(len(trace.net.places)))]
+        for asked in ([place], ()):
+            raw, order, stats = posterior.query_stats(asked)
+            want_raw, want_order, want_stats = unprepared.query_stats(asked)
+            assert np.array_equal(raw.data, want_raw.data)
+            assert stats == want_stats
+            assert order.width == want_order.width
+        base = mbn.preparation
+        # every older record was taken over, not rebuilt
+        assert all(base.nodes[index] is node
+                   for index, node in held.nodes.items())
+        _assert_fresh_base(base, mbn)
+        diagonal = diagonal or any(n.diagonal for n in base.nodes.values())
+    assert diagonal
+    if zero_at is not None:
+        assert posterior.mass() == 0.0
+
+
+@pytest.mark.parametrize("semantics", ["independent", "stochastic"])
+def test_each_node_factor_is_built_once_per_online_trace(semantics,
+                                                         monkeypatch):
+    counts = _count_tabulations(monkeypatch)
+    trace = random_trace(np.random.default_rng(7), places=8, transitions=10,
+                         steps=10, semantics=semantics)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    for step, obs in trace.steps:
+        posterior = posterior.observe(step, obs)
+        for place in trace.net.places[:2]:
+            posterior.marginal([place])
+        posterior.mass()
+    builds = [n for (build, _), n in counts.items() if build == "_node_factor"]
+    assert len(builds) > len(trace.steps)
+    assert max(builds) == 1
+
+
+def test_online_chain_keeps_at_most_two_bases():
+    trace = random_trace(np.random.default_rng(3), places=6, transitions=8,
+                         steps=12)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    posterior.mass()
+    bases = [weakref.ref(posterior.mbn.preparation)]
+    for step, obs in trace.steps:
+        # the observer still holds the previous posterior while querying
+        previous, posterior = posterior, posterior.observe(step, obs)
+        posterior.mass()
+        bases.append(weakref.ref(posterior.mbn.preparation))
+        assert sum(ref() is not None for ref in bases) <= 2
+        assert bases[-2]() is previous.mbn.preparation
+    del previous
+    assert sum(ref() is not None for ref in bases) == 1
+    del posterior
+    assert all(ref() is None for ref in bases)
+
+
+def test_only_attach_update_hands_on_a_base(gossip_net, gossip_step):
+    child = attach_update(uniform_prior(gossip_net),
+                          build_update(gossip_net, gossip_step), "success")
+    scheduled_eliminate(child)
+    # a bare network keeps the base its query built
+    assert child.preparation is not None
+    assert attach_update(child, build_update(gossip_net, gossip_step),
+                         "failure").preparation is child.preparation
+    others = [terminate(child, ["K3"]), MBN(child.graph, child.ev,
+                                            child.places),
+              uniform_prior(gossip_net),
+              prior_independent(gossip_net, {p: 1.0 for p in
+                                             gossip_net.places}),
+              prior_joint(gossip_net, ProbVector.point(4, "1000")),
+              prior_point(gossip_net, "1000")]
+    for net in others:
+        assert net.preparation is None
+
+
+def test_a_child_that_does_not_extend_its_parent_gets_a_fresh_base(
+        gossip_net, gossip_step):
+    parent = attach_update(uniform_prior(gossip_net),
+                           build_update(gossip_net, gossip_step), "success")
+    scheduled_eliminate(parent)
+    held = parent.preparation
+    # the same graph evaluated by other matrix objects
+    copied = {name: TypedMatrix(mat.in_arity, mat.out_arity,
+                                dense=mat.to_dense())
+              for name, mat in parent.ev.items()}
+    # a new node reading K2's prior wire, dead in a network that outputs
+    # only K1: the older record of that wire must come back to life
+    only_k1 = terminate(uniform_prior(gossip_net), ["K1"])
+    scheduled_eliminate(only_k1)
+    graph = only_k1.graph
+    reader = CausalityGraph(
+        0, graph.gens + (Generator("reader", 1, 1),),
+        graph.sources + ((Wire(1, 1),),), graph.out + (Wire(4, 1),))
+    ev = dict(only_k1.ev, reader=TypedMatrix(1, 1, dense=np.array(
+        [[0.9, 0.2], [0.1, 0.8]])))
+    children = [(replace(parent, ev=copied), held),
+                (MBN(reader, ev, None, only_k1.preparation),
+                 only_k1.preparation)]
+    for child, parent_base in children:
+        assert child.preparation is parent_base
+        mat, _, _ = scheduled_eliminate(child)
+        assert mat.allclose(eval_naive(child), atol=1e-12)
+        base = child.preparation
+        assert base is not parent_base
+        assert not any(base.nodes[index] is node
+                       for index, node in parent_base.nodes.items())
+        _assert_fresh_base(base, child)
+
+
+def test_observe_matches_run_on_the_extended_trace(rng):
+    for k in range(4):
+        trace = random_trace(rng, places=6, transitions=8, steps=6,
+                             semantics="stochastic" if k % 2 else
+                             "independent")
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        for n, (step, obs) in enumerate(trace.steps, 1):
+            posterior = posterior.observe(step, obs)
+            want = run(ObservationTrace(trace.net, trace.prior,
+                                        trace.steps[:n]))
+            assert posterior.mass() == pytest.approx(want.mass(), rel=1e-12,
+                                                     abs=0.0)
+            for place in trace.net.places:
+                got = posterior.marginal([place])
+                assert got.allclose(want.marginal([place]), atol=1e-12)
+    with pytest.raises(ValidationError, match="unknown observation"):
+        posterior.observe(trace.steps[0][0], "maybe")
 
 
 # -- trace documents -----------------------------------------------------------

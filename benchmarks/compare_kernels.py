@@ -6,6 +6,11 @@ and the mass of the observations.  Next to the median time it prints the
 marginal, the mass and the realized width of the marginal query (the
 widest table the elimination produced).
 
+The online columns replay the same trace one step at a time, as an
+observer does: each step is `Posterior.observe` followed by the marginal
+of the first place.  They give the median ms of such a step and the widest
+table any of those queries produced.
+
 Usage: python3 benchmarks/compare_kernels.py [--repeats 5] [--seed 0]
 """
 from __future__ import annotations
@@ -15,11 +20,30 @@ import time
 
 import numpy as np
 
+from pnbayes.bitmatrix import normalize
 from pnbayes.randnet import random_trace
-from pnbayes.reason import run
+from pnbayes.reason import ObservationTrace, run
 
 # (places, transitions, steps) of each query case
 CASES = [(20, 12, 10), (30, 14, 10), (40, 15, 10)]
+
+
+def online(trace, place: str, repeats: int) -> tuple[float, int]:
+    """Median ms of one step (``observe`` plus the marginal of ``place``)
+    and the widest table those queries produced."""
+    times, width = [], 0
+    for _ in range(repeats):
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        for step, obs in trace.steps:
+            t0 = time.perf_counter()
+            posterior = posterior.observe(step, obs)
+            # what marginal() does, keeping the stats of this first query,
+            # which include summing the previous step out to the places
+            raw, _, stats = posterior.query_stats([place])
+            normalize(raw)
+            times.append(time.perf_counter() - t0)
+            width = max(width, stats.max_factor_wires)
+    return float(np.median(times)) * 1e3, width
 
 
 def main() -> None:
@@ -29,7 +53,7 @@ def main() -> None:
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
     print(f"{'posterior query':<24}{'median ms':>11}{'marginal':>14}"
-          f"{'mass':>14}{'width':>7}")
+          f"{'mass':>14}{'width':>7}{'online ms':>11}{'width':>7}")
     for places, transitions, steps in CASES:
         trace = random_trace(rng, places, transitions, steps)
         place = trace.net.places[0]
@@ -41,9 +65,11 @@ def main() -> None:
             mass = posterior.mass()
             times.append(time.perf_counter() - t0)
         _, _, stats = posterior.query_stats([place])
+        step_ms, step_width = online(trace, place, args.repeats)
         print(f"{f'{places}p {transitions}t {steps} steps':<24}"
               f"{float(np.median(times)) * 1e3:>11.1f}{marginal:>14.9f}"
-              f"{mass:>14.6e}{stats.max_factor_wires:>7d}")
+              f"{mass:>14.6e}{stats.max_factor_wires:>7d}"
+              f"{step_ms:>11.1f}{step_width:>7d}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Sequence
 from .bitmatrix import ProbVector, dump_vector, normalize
 from .causality import dump_graph, parse_wire, wire_str
 from .chain import marginal_of
-from .eliminate import min_degree_order, run_elimination_stats
+from .eliminate import min_degree_order, order_width, run_elimination_stats
 from .errors import InconsistentEvidence, PnbayesError, TooLarge
 from .mbn import terminate
 from .petri import INDEPENDENT, STOCHASTIC, net_from_json, validate_net_json
@@ -79,6 +79,14 @@ def _as_vector(mat) -> ProbVector:
     return ProbVector(mat.out_arity, mat.to_dense()[:, 0])
 
 
+def _print_stats(query: dict, width: int, stats) -> None:
+    """One JSON line describing how a query was answered."""
+    print(json.dumps({**query, "width": width,
+                      "max_factor_wires": stats.max_factor_wires,
+                      "contractions": stats.contractions,
+                      "grouped": stats.grouped_steps > 0}))
+
+
 def _cmd_query(args) -> int:
     trace = load_trace(args.trace)
     posterior = run(trace)
@@ -86,19 +94,27 @@ def _cmd_query(args) -> int:
     printed = False
     for place in args.marginal or []:
         if order_wires is None:
-            vec = posterior.marginal([place])
+            raw, order, stats = posterior.query_stats([place])
+            vec = normalize(raw)
         else:
             marg = terminate(posterior.mbn, [place])
             internal = set(marg.graph.internal_wires())
             effective = [w for w in order_wires if w in internal]
-            mat, _ = run_elimination_stats(marg, effective)
+            mat, stats = run_elimination_stats(marg, effective)
             vec = normalize(_as_vector(mat))
         print(f"{place}=1: {_fmt(vec.entry(1))}")
         if args.dump_matrix:
             sys.stdout.write(dump_vector(vec))
+        if args.stats:
+            width = (order.width if order_wires is None
+                     else order_width(marg, effective))
+            _print_stats({"marginal": place}, width, stats)
         printed = True
     if args.mass:
-        print(f"mass: {_fmt(posterior.mass())}")
+        raw, order, stats = posterior.query_stats(())
+        print(f"mass: {_fmt(raw.mass())}")
+        if args.stats:
+            _print_stats({"mass": True}, order.width, stats)
         printed = True
     if not printed:
         print("nothing to report: pass --marginal and/or --mass",
@@ -186,6 +202,10 @@ def _build_parser() -> _Parser:
                         "entries external to a query are skipped)")
     p.add_argument("--dump-matrix", action="store_true",
                    help="also dump each marginal in matrix format")
+    p.add_argument("--stats", action="store_true",
+                   help="after each answer, print one JSON line with the "
+                        "order width, max_factor_wires, contractions and "
+                        "whether grouped contraction ran")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("oracle",

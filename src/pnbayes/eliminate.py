@@ -29,8 +29,13 @@ matrices.  A ``PreparedNet`` keeps one base for many queries.
 
 The base lives on the network (``MBN.preparation``).  A network from
 ``mbn.attach_update`` holds its parent's base until its first query, which
-extends that base by the new node: the older classes, pins and node
-records stay valid as they are, so their tables are shared, not rebuilt.
+extends it by the new node.  Where that is exact and bounded, the parent's
+history is first summed out to its place wires (``_Base.summarized``): the
+new base holds the factors left over the parent's output classes and a
+record for the new node only, so a query plans and contracts about places
+plus one node's wires however long the trace.  Otherwise the new base takes
+the parent's node records over as they are, sharing their tables.  This is
+the interface (frontier) idea of filtering in dynamic Bayesian networks.
 
 Nodes whose factor would not fit in memory (sparse update matrices over
 many wires) are never tabulated.  The scheduler keeps them as matrices and
@@ -42,6 +47,7 @@ eliminator.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
@@ -355,10 +361,12 @@ def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
 
 @dataclass
 class ElimStats:
-    """Bookkeeping of one elimination run."""
+    """Bookkeeping of one elimination run.  ``contractions`` counts every
+    contraction, ``grouped_steps`` the grouped ones among them."""
 
     max_factor_wires: int = 0
     contractions: int = 0
+    grouped_steps: int = 0
 
     def track(self, size: int) -> None:
         if size > self.max_factor_wires:
@@ -418,12 +426,20 @@ class _Base:
     A base is built node by node on top of a ``parent`` base, or of the
     empty base.  The parent's records are taken as they are, which is
     right when the network's first nodes are the parent's (see
-    ``_extends``) and no older target changes between read-or-output and
+    ``_extends``), the new nodes read only wires the parent knows
+    (``_knows``), and no older target changes between read-or-output and
     dead (``kept``).  Adding later nodes never changes an older class:
     each new wire joins the class of a wire it is merged with, and it is
     larger than every older wire, so the smallest wire stays the
     representative.  The parent's cached tables and matrices are shared;
     the dicts that hold them are copied.
+
+    A base may also hold ``summary`` factors: an older network summed out
+    to its output classes (see ``summarized``).  Every query multiplies
+    them in as they are.  They are shared read-only and never folded by
+    live flags, because a dropped output can sit in several of them; such
+    a wire is simply eliminated.  A base with a summary knows only the
+    wires of its records and the summarized network's inputs and outputs.
     """
 
     def __init__(self, net: MBN, merge_diagonal: bool, fold: bool,
@@ -437,12 +453,14 @@ class _Base:
             nodes: dict[int, _Node] = {}
             tables: dict[int, Factor] = {}
             matrices: dict[int, _Grouped] = {}
+            summary: tuple[Factor, ...] = ()
         else:
             first, fresh = parent.graph.node_count, []
             rep, pinned = dict(parent.rep), dict(parent.pinned)
             zero, read = parent.zero, set(parent.read)
             nodes = dict(parent.nodes)
             tables, matrices = dict(parent._tables), dict(parent._matrices)
+            summary = parent.summary
         added = range(first, graph.node_count)
         for v in added:
             fresh.extend(graph.ports(v))
@@ -501,6 +519,7 @@ class _Base:
         self.nodes = nodes
         self._tables = tables
         self._matrices = matrices
+        self.summary = summary
 
     def _extends(self, net: MBN) -> bool:
         """Whether ``net`` starts with this base's network: the same
@@ -514,6 +533,54 @@ class _Base:
                 and all(net.ev.get(g.name) is self.ev[g.name]
                         for g in mine.gens))
 
+    def _knows(self, net: MBN, wires) -> bool:
+        """Whether ``net``'s new nodes read, and its outputs are, only
+        ``wires`` of this base's network or ports of those new nodes."""
+        graph, n = net.graph, self.graph.node_count
+        return all(w.node >= n or w in wires
+                   for w in itertools.chain(graph.out, *graph.sources[n:]))
+
+    def summarized(self, net: MBN, stats: ElimStats) -> _Base | None:
+        """This network summed out to its inputs and unpinned output
+        classes, as a base with no node records, for ``net`` to extend.
+
+        One min-degree elimination of every other wire turns the summary
+        factors and the node factors into the new summary.  It is taken only
+        when it is exact for ``net`` (this base is not zero, and ``net``'s
+        new nodes read and its outputs are only this network's inputs,
+        outputs or new ports) and its plan is at most BULK_NODE_BITS wide;
+        otherwise the result is None.  The run is charged to ``stats``.  It
+        reads the cached tables and builds a missing one without keeping it,
+        so it writes nothing into this base.
+        """
+        graph, rep, pinned = self.graph, self.rep, self.pinned
+        shown = graph.inputs() + graph.out
+        if self.zero or not self._knows(net, set(shown)):
+            return None
+        frontier = {rep[w] for w in shown if rep[w] not in pinned}
+        scopes = [frozenset(f.wires) for f in self.summary]
+        scopes += [node.scope(pinned) for node in self.nodes.values()]
+        verts = set(frontier).union(*scopes)
+        plan = _greedy_order(verts, scopes, sorted(verts - frontier))
+        if plan.width > BULK_NODE_BITS:
+            return None
+        factors = list(self.summary)
+        for index, node in self.nodes.items():
+            table = self._tables.get(index)
+            factors.append(table if table is not None
+                           else _node_factor(node, pinned))
+        for f in factors:
+            stats.track(f.size)
+        left = _absorb(_run(factors, plan.wires, stats))
+        for f in left:
+            f.table.flags.writeable = False
+        base = copy.copy(self)
+        base.rep = {w: rep[w] for w in shown}
+        base.read, base.kept = set(), {rep[w] for w in graph.out}
+        base.nodes, base._tables, base._matrices = {}, {}, {}
+        base.summary = tuple(left)
+        return base
+
     def problem(self, graph: CausalityGraph,
                 bulk_bits: int | None = None) -> _Problem:
         """The elimination problem of ``graph``, which is the base network
@@ -525,9 +592,9 @@ class _Base:
         rep, pinned = self.rep, self.pinned
         kept = self.read | {rep[w] for w in graph.out}
         tabulated: list[tuple[int, tuple[bool, ...]]] = []
-        scopes: list[frozenset[Wire]] = []
+        scopes = [frozenset(f.wires) for f in self.summary]
         lazy: list[tuple[int, tuple[bool, ...]]] = []
-        in_factors: set[Wire] = set()
+        in_factors: set[Wire] = set().union(*scopes)
         for node in self.nodes.values():
             live = node.live
             if self.fold:
@@ -594,7 +661,8 @@ class _Problem:
     lazy: list[tuple[int, tuple[bool, ...]]]
 
     def factors(self) -> list[Factor]:
-        return [self.base.factor(v, live) for v, live in self.tabulated]
+        return list(self.base.summary) + [self.base.factor(v, live)
+                                          for v, live in self.tabulated]
 
     def vertices(self):
         verts = set(self.ext_slots)
@@ -603,26 +671,34 @@ class _Problem:
         return verts
 
 
-def _query_base(net: MBN) -> _Base:
+def _query_base(net: MBN, stats: ElimStats) -> _Base:
     """The query base of ``net``, kept on the network.
 
     A network that holds its own base returns it.  One that holds another
     base, handed on by ``attach_update``, extends it by the new nodes when
-    ``net`` starts with that base's network and the older records still
-    hold; otherwise, and for a network that holds nothing, the base is
-    built from the empty one.  The new base replaces the held one, so a
-    chain of networks keeps at most one older base alive.
+    ``net`` starts with that base's network: on top of the held base's
+    summary when ``summarized`` gives one (its elimination is charged to
+    ``stats``), else on top of the held base itself when the new nodes read
+    only wires it knows and its records keep their live targets.
+    Otherwise, and for a network that holds nothing, the base is built from
+    the empty one.  The new base replaces the held one, so a chain of
+    networks keeps at most one older base alive.
     """
     held = net.preparation
     if held is not None and held.graph is net.graph and held.ev is net.ev:
         return held
     base = None
     if held is not None and held._extends(net):
-        base = _Base(net, merge_diagonal=True, fold=True, pin=True,
-                     parent=held)
-        n = held.graph.node_count
-        if {w for w in base.kept if w.node < n} != held.kept:
-            base = None
+        summary = held.summarized(net, stats)
+        if summary is not None:
+            base = _Base(net, merge_diagonal=True, fold=True, pin=True,
+                         parent=summary)
+        elif held._knows(net, held.rep):
+            base = _Base(net, merge_diagonal=True, fold=True, pin=True,
+                         parent=held)
+            n = held.graph.node_count
+            if {w for w in base.kept if w.node < n} != held.kept:
+                base = None
     if base is None:
         base = _Base(net, merge_diagonal=True, fold=True, pin=True)
     # the network is frozen; its preparation is a cache beside its fields
@@ -640,7 +716,8 @@ class PreparedNet:
     reuse them and add only the factors they need that are still missing.
     The base is kept on ``net`` itself (``MBN.preparation``), so it lives
     as long as the network, and a network from ``attach_update`` extends
-    its parent's base instead of building its own from nothing.
+    its parent's base, or the summary of its parent's history to the place
+    wires, instead of building its own from nothing.
     """
 
     def __init__(self, net: MBN):
@@ -657,8 +734,11 @@ class PreparedNet:
         view._owner = owner
         return view
 
-    def base(self) -> _Base:
-        return _query_base((self._owner or self).net)
+    def base(self, stats: ElimStats | None = None) -> _Base:
+        """The base, built or extended if need be; a summary taken on the
+        way is charged to ``stats``."""
+        return _query_base((self._owner or self).net,
+                           ElimStats() if stats is None else stats)
 
 
 # -- running an elimination ---------------------------------------------------
@@ -694,6 +774,21 @@ def _run(factors: list[Factor], order: Sequence[Wire],
     return factors
 
 
+def _absorb(factors: list[Factor]) -> list[Factor]:
+    """Multiply each factor into a wider one holding all its wires, so no
+    factor left is covered by another; scalars fold into the first."""
+    kept: list[Factor] = []
+    for f in sorted(factors, key=lambda f: -f.size):
+        wires = set(f.wires)
+        for k, g in enumerate(kept):
+            if wires <= set(g.wires):
+                kept[k] = Factor(g.wires, _join([g, f], g.wires))
+                break
+        else:
+            kept.append(f)
+    return kept
+
+
 def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
     """Pointwise product of the factors, broadcast over ``wires``."""
     if len(wires) > MAX_FACTOR_BITS:
@@ -727,6 +822,7 @@ def _apply_lazy(matrix: _Grouped, factors: list[Factor], stats: ElimStats
     joined = _join(touched, joined_wires)
     stats.track(len(joined_wires))
     stats.contractions += 1
+    stats.grouped_steps += 1
     block = joined.reshape(1 << len(ins), -1)
     result = np.asarray(reduced @ block)
     stats.track(len(outs) + len(passthrough))
@@ -914,7 +1010,11 @@ def scheduled_eliminate(net: MBN | PreparedNet
     the same network reuses it, with every node factor and grouped-step
     matrix built from it.  A ``PreparedNet`` also shares it with its
     restrictions.  A network from ``attach_update`` extends the base its
-    parent held instead of building one from nothing.
+    parent held instead of building one from nothing; when it first sums
+    the parent's history out to the place wires, that elimination runs in
+    this call and counts in the returned stats (``contractions``,
+    ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
+    width.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when no tabulated
@@ -928,10 +1028,10 @@ def scheduled_eliminate(net: MBN | PreparedNet
     thresholds are read when the call starts.
     """
     prepared = net if isinstance(net, PreparedNet) else PreparedNet(net)
-    base = prepared.base()
+    stats = ElimStats()
+    base = prepared.base(stats)
     graph = prepared.net.graph
     problem = base.problem(graph, BULK_NODE_BITS)
-    stats = ElimStats()
     if not problem.lazy:
         plan = _greedy_order(problem.vertices(), problem.scopes,
                              problem.internal)

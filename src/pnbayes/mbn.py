@@ -15,7 +15,9 @@ update never needs explicit permutation or identity nodes.
 A network also carries its query preparation (``eliminate._Base``), built
 by its first prepared query.  Until then, a network returned by
 :func:`attach_update` holds the preparation its parent held, and its first
-query extends that by the new node instead of starting over.
+query extends that by the new node instead of starting over: where exact
+and narrow enough, on top of the parent's history summed out to its place
+wires, so the query's cost does not grow with the trace.
 """
 from __future__ import annotations
 
@@ -257,6 +259,10 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     The result holds the query preparation ``net`` holds, copying nothing.
     Its first prepared query extends that preparation by the new node, so
     an observer who queries after every step builds each node factor once.
+    That query first sums the held network out to its place wires, unless
+    the summary would span more than ``eliminate.BULK_NODE_BITS`` wires or
+    the held network's point masses conflict; the new node then reads
+    summary factors over the places, not the whole history.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")

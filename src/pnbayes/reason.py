@@ -12,11 +12,16 @@ All queries on one ``Posterior`` share one preparation of its network
 (``eliminate.PreparedNet``): the first query builds the node factors
 inside its ``scheduled_eliminate`` call, every later marginal, mass or
 joint query reuses them, and they are freed with the network.  The
-preparation lives on the network, and it grows with each step:
+preparation lives on the network and moves on with each step:
 ``Posterior.observe`` (like ``mbn.attach_update``, which it calls) hands
-it to the next network, whose first query extends it by the new node.  An
-observer who queries after every step thus builds each node factor once
-per trace.  ``run`` builds no preparation along the way.
+it to the next network, whose first query sums the older history out to
+the place wires and adds the new node to that summary.  An observer who
+queries after every step thus builds each node factor once per trace, and
+a query costs about the same at step 20 as at step 1.  Where the summary
+would be too wide (a node over many places), or point masses conflict,
+the next network takes the older node records over instead.
+``run`` builds no preparation along the way, so its queries plan over the
+whole trace.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -130,9 +135,13 @@ class Posterior:
     def observe(self, step: StepSpec, obs: str) -> Posterior:
         """The posterior after one more step observed as ``obs``.
 
-        Its network is this one with the step's update node attached, and
-        its first query extends this posterior's preparation by that node,
-        so querying after every step builds each node factor once.
+        Its network is this one with the step's update node attached.  Its
+        first query sums this posterior's network out to the place wires,
+        reusing this posterior's node factors and writing nothing into
+        them, and adds that node to the summary; querying after every step
+        thus builds each node factor once and keeps the query over about
+        places plus one node's wires.  Where the summary would be too wide,
+        it extends this posterior's preparation by the node instead.
         """
         up = build_update(self.net, step)
         return Posterior(self.net, attach_update(self.mbn, up, obs))

@@ -2,10 +2,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pnbayes.cli import main
 from pnbayes.petri import net_to_json
+from pnbayes.reason import load_trace, run
 
 import reference_nets as nets
 
@@ -121,6 +123,54 @@ def test_query_with_order_file(tmp_path, capsys):
     assert main(["query", GOSSIP_TRACE, "--marginal", "K3",
                  "--order-file", str(order_file)]) == 0
     assert "K3=1: 0.625" in capsys.readouterr().out
+
+
+def test_query_stats_prints_one_json_line_per_query(tmp_path, capsys):
+    flags = ["--marginal", "K3", "--marginal", "K1", "--mass"]
+    assert main(["query", GOSSIP_TRACE] + flags) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["query", GOSSIP_TRACE] + flags + ["--stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the answers are unchanged, each followed by its report
+    assert lines[::2] == plain
+    posterior = run(load_trace(GOSSIP_TRACE))
+    for line, asked in zip(lines[1::2], (["K3"], ["K1"], [])):
+        _, order, stats = posterior.query_stats(asked)
+        query = {"marginal": asked[0]} if asked else {"mass": True}
+        assert json.loads(line) == {
+            **query, "width": order.width,
+            "max_factor_wires": stats.max_factor_wires,
+            "contractions": stats.contractions, "grouped": False}
+
+    # a forced order reports that order's width
+    assert main(["width", GOSSIP_TRACE]) == 0
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("\n".join(json.loads(
+        capsys.readouterr().out)["order"]) + "\n")
+    assert main(["query", GOSSIP_TRACE, "--marginal", "K3", "--order-file",
+                 str(order_file), "--stats"]) == 0
+    answer, line = capsys.readouterr().out.splitlines()
+    assert answer == "K3=1: 0.625"
+    report = json.loads(line)
+    assert report["marginal"] == "K3" and report["grouped"] is False
+    assert 0 < report["max_factor_wires"] <= report["width"]
+
+
+def test_query_stats_reports_grouped_contraction(tmp_path, capsys):
+    trace = nets.wide_trace(np.random.default_rng(0))
+    doc = {
+        "net": net_to_json(trace.net),
+        "prior": dict(trace.prior.marginals),
+        "steps": [{"weights": dict(step.weights), "obs": obs}
+                  for step, obs in trace.steps],
+    }
+    path = write_net(tmp_path, doc, "trace.json")
+    assert main(["query", path, "--marginal", "p0", "--stats"]) == 0
+    answer, line = capsys.readouterr().out.splitlines()
+    assert answer.startswith("p0=1: ")
+    report = json.loads(line)
+    assert report["grouped"] is True
+    assert report["max_factor_wires"] == report["width"]
 
 
 def test_width_report(capsys):

@@ -280,37 +280,69 @@ def _online_trace(seed, semantics, prior_kind, zero_at):
     return ObservationTrace(net, prior, tuple(steps))
 
 
+def _assert_matches_dense(posterior, trace, n, places):
+    """The posterior after the first ``n`` steps of ``trace`` answers as
+    the dense engine does: marginals to 1e-6, the mass to rel 1e-6, and
+    InconsistentEvidence where the evidence has probability zero."""
+    dense = dense_posterior(ObservationTrace(trace.net, trace.prior,
+                                             trace.steps[:n]))
+    assert posterior.mass() == pytest.approx(dense.mass(), rel=1e-6, abs=0.0)
+    for place in places:
+        if dense.mass() == 0.0:
+            with pytest.raises(InconsistentEvidence):
+                posterior.marginal([place])
+            continue
+        want = normalize(marginal_of(dense, trace.net, [place]))
+        assert posterior.marginal([place]).allclose(want, atol=1e-6)
+
+
+def _assert_agrees_with_unprepared(posterior, asked, rtol):
+    """``query_stats`` answers as on the same network without a base: to
+    ``rtol``, or bit for bit with the same plan when ``rtol`` is 0."""
+    mbn = posterior.mbn
+    unprepared = Posterior(posterior.net, MBN(mbn.graph, mbn.ev, mbn.places))
+    raw, order, stats = posterior.query_stats(asked)
+    want_raw, want_order, want_stats = unprepared.query_stats(asked)
+    if rtol:
+        assert np.allclose(raw.data, want_raw.data, rtol=rtol, atol=0.0)
+        return
+    assert np.array_equal(raw.data, want_raw.data)
+    assert stats == want_stats
+    assert order.width == want_order.width
+
+
 @pytest.mark.parametrize("semantics", ["independent", "stochastic"])
 @pytest.mark.parametrize("prior_kind, zero_at", [
     ("marginals", None), ("pinned", 6), ("joint", None)])
 def test_online_posteriors_extend_their_parents_base(semantics, prior_kind,
-                                                     zero_at):
+                                                     zero_at, monkeypatch):
+    counts = _count_tabulations(monkeypatch)
     trace = _online_trace(11, semantics, prior_kind, zero_at)
     rng = np.random.default_rng(12)
     posterior = run(ObservationTrace(trace.net, trace.prior, ()))
     posterior.mass()
-    diagonal = False
+    online, diagonal = [], False
     for step, obs in trace.steps:
         held = posterior.mbn.preparation
         posterior = posterior.observe(step, obs)
         # the handoff copies nothing
         assert posterior.mbn.preparation is held
-        mbn = posterior.mbn
-        unprepared = Posterior(trace.net, MBN(mbn.graph, mbn.ev, mbn.places))
         place = trace.net.places[int(rng.integers(len(trace.net.places)))]
         for asked in ([place], ()):
-            raw, order, stats = posterior.query_stats(asked)
-            want_raw, want_order, want_stats = unprepared.query_stats(asked)
-            assert np.array_equal(raw.data, want_raw.data)
-            assert stats == want_stats
-            assert order.width == want_order.width
-        base = mbn.preparation
-        # every older record was taken over, not rebuilt
-        assert all(base.nodes[index] is node
-                   for index, node in held.nodes.items())
-        _assert_fresh_base(base, mbn)
+            posterior.query_stats(asked)
+        base = posterior.mbn.preparation
+        # the parent's history was summed out: no record of its nodes
+        assert all(index >= held.graph.node_count for index in base.nodes)
         diagonal = diagonal or any(n.diagonal for n in base.nodes.values())
+        online.append((posterior, place))
     assert diagonal
+    # the online chain built each node factor once
+    builds = [n for (build, _), n in counts.items() if build == "_node_factor"]
+    assert max(builds) == 1
+    for n, (posterior, place) in enumerate(online, 1):
+        for asked in ([place], ()):
+            _assert_agrees_with_unprepared(posterior, asked, rtol=1e-12)
+        _assert_matches_dense(posterior, trace, n, [place])
     if zero_at is not None:
         assert posterior.mass() == 0.0
 
@@ -402,6 +434,109 @@ def test_a_child_that_does_not_extend_its_parent_gets_a_fresh_base(
         assert not any(base.nodes[index] is node
                        for index, node in parent_base.nodes.items())
         _assert_fresh_base(base, child)
+
+
+@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("semantics", ["independent", "stochastic"])
+@pytest.mark.parametrize("prior_kind, zero_at", [
+    ("marginals", None), ("pinned", 4), ("joint", None)])
+def test_summarized_chains_match_the_dense_oracle(every, semantics,
+                                                  prior_kind, zero_at):
+    # asked after every step, or after every other one, so that a child
+    # also extends the summary of a network two nodes back
+    trace = _online_trace(21, semantics, prior_kind, zero_at)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    posterior.mass()
+    held = posterior.mbn.preparation
+    for n, (step, obs) in enumerate(trace.steps, 1):
+        posterior = posterior.observe(step, obs)
+        if n % every:
+            continue
+        _assert_matches_dense(posterior, trace, n, trace.net.places)
+        base = posterior.mbn.preparation
+        assert all(index >= held.graph.node_count for index in base.nodes)
+        held = base
+    if zero_at is not None:
+        assert posterior.mass() == 0.0
+
+
+def _sweep_trace():
+    """Twelve places, a ``sweep`` moving the tokens of the first six to
+    the last six, and small transitions.  The first step fires the sweep,
+    whose success node spans 24 wires; the rest are small steps, one
+    success to two failures."""
+    places = tuple(f"p{i}" for i in range(12))
+    small = tuple((f"t{i}", (places[i],), (places[(i + 5) % 12],))
+                  for i in range(12))
+    net = CENet(places, (("sweep", places[:6], places[6:]),) + small)
+    prior = PriorSpec(marginals=tuple((p, 0.5 + 0.03 * (i - 6))
+                                      for i, p in enumerate(places)))
+    steps = [(StepSpec("stochastic", {"sweep": 1.0}), "success")]
+    for k in range(6):
+        weights = {f"t{k}": 0.3, f"t{k + 6}": 0.4, "fail": 0.3}
+        obs = "failure" if k % 3 else "success"
+        steps.append((StepSpec("independent", weights), obs))
+    return ObservationTrace(net, prior, tuple(steps))
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_a_summary_too_wide_falls_back_to_records(start):
+    trace = _sweep_trace()
+    posterior = run(ObservationTrace(trace.net, trace.prior,
+                                     trace.steps[:start]))
+    posterior.mass()
+    online = []
+    for n, (step, obs) in enumerate(trace.steps[start:], start + 1):
+        held = posterior.mbn.preparation
+        posterior = posterior.observe(step, obs)
+        posterior.mass()
+        base = posterior.mbn.preparation
+        if n == 1:
+            # the prior summarizes; the sweep's node is the new record
+            assert list(base.nodes) == [len(trace.net.places)]
+        else:
+            # a summary would span the sweep's 24 wires: every older
+            # record is taken over instead
+            assert all(base.nodes[index] is node
+                       for index, node in held.nodes.items())
+        online.append((n, posterior))
+    for n, posterior in online:
+        # from a base built in full the records carry the same plan and
+        # bits; on top of a summary the answers agree to rounding
+        full = not posterior.mbn.preparation.summary
+        assert full == (start == 1)
+        for asked in (["p0"], ["p11"], ()):
+            _assert_agrees_with_unprepared(posterior, asked,
+                                           rtol=0.0 if full else 1e-12)
+        if full:
+            _assert_fresh_base(posterior.mbn.preparation, posterior.mbn)
+        _assert_matches_dense(posterior, trace, n, trace.net.places)
+
+
+def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
+    trace = random_trace(rng, places=7, transitions=9, steps=6)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    for step, obs in trace.steps[:-1]:
+        posterior = posterior.observe(step, obs)
+        posterior.mass()
+    queries = [[p] for p in trace.net.places] + [list(trace.net.places[:3]),
+                                                 []]
+    before = [posterior.query_stats(asked) for asked in queries]
+    base = posterior.mbn.preparation
+    tables = dict(base._tables)
+    saved = {index: f.table.copy() for index, f in tables.items()}
+    child = posterior.observe(*trace.steps[-1])
+    child.mass()
+    assert all(index >= len(base.graph.gens)
+               for index in child.mbn.preparation.nodes)
+    # the summary wrote nothing into the parent's base
+    assert posterior.mbn.preparation is base
+    assert base._tables == tables
+    assert all(np.array_equal(tables[i].table, saved[i]) for i in saved)
+    for asked, (raw, order, stats) in zip(queries, before):
+        got_raw, got_order, got_stats = posterior.query_stats(asked)
+        assert np.array_equal(got_raw.data, raw.data)
+        assert got_stats == stats and got_order == order
 
 
 def test_observe_matches_run_on_the_extended_trace(rng):

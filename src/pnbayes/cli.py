@@ -84,7 +84,8 @@ def _print_stats(query: dict, width: int, stats) -> None:
     print(json.dumps({**query, "width": width,
                       "max_factor_wires": stats.max_factor_wires,
                       "contractions": stats.contractions,
-                      "grouped": stats.grouped_steps > 0}))
+                      "grouped": stats.grouped_steps > 0,
+                      "summarized": stats.summarized}))
 
 
 def _cmd_query(args) -> int:
@@ -204,8 +205,9 @@ def _build_parser() -> _Parser:
                    help="also dump each marginal in matrix format")
     p.add_argument("--stats", action="store_true",
                    help="after each answer, print one JSON line with the "
-                        "order width, max_factor_wires, contractions and "
-                        "whether grouped contraction ran")
+                        "order width, max_factor_wires, contractions, "
+                        "whether grouped contraction ran and whether the "
+                        "query planned over the posterior's summary")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("oracle",

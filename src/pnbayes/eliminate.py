@@ -37,6 +37,12 @@ plus one node's wires however long the trace.  Otherwise the new base takes
 the parent's node records over as they are, sharing their tables.  This is
 the interface (frontier) idea of filtering in dynamic Bayesian networks.
 
+A network's second query sums the network itself out the same way, once:
+its base is replaced by its own summary, so that query and every later
+marginal, mass or joint query on the network plan over the summary factors
+alone, within BULK_NODE_BITS wires.  The first query keeps its plan, so a
+network asked once pays nothing for the summary.
+
 Nodes whose factor would not fit in memory (sparse update matrices over
 many wires) are never tabulated.  The scheduler keeps them as matrices and
 contracts each in a single grouped step: the dense factors touching its
@@ -362,11 +368,15 @@ def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
 @dataclass
 class ElimStats:
     """Bookkeeping of one elimination run.  ``contractions`` counts every
-    contraction, ``grouped_steps`` the grouped ones among them."""
+    contraction, ``grouped_steps`` the grouped ones among them.
+    ``summarized`` says whether the query planned over a summary of the
+    network's history (``_Base.summarized``) instead of its node records
+    alone."""
 
     max_factor_wires: int = 0
     contractions: int = 0
     grouped_steps: int = 0
+    summarized: bool = False
 
     def track(self, size: int) -> None:
         if size > self.max_factor_wires:
@@ -434,8 +444,8 @@ class _Base:
     representative.  The parent's cached tables and matrices are shared;
     the dicts that hold them are copied.
 
-    A base may also hold ``summary`` factors: an older network summed out
-    to its output classes (see ``summarized``).  Every query multiplies
+    A base may also hold ``summary`` factors: an older network, or the
+    network itself, summed out to its output classes (see ``summarized``).  Every query multiplies
     them in as they are.  They are shared read-only and never folded by
     live flags, because a dropped output can sit in several of them; such
     a wire is simply eliminated.  A base with a summary knows only the
@@ -520,6 +530,8 @@ class _Base:
         self._tables = tables
         self._matrices = matrices
         self.summary = summary
+        # whether a query has already tried to summarize this base in place
+        self.tried_summary = False
 
     def _extends(self, net: MBN) -> bool:
         """Whether ``net`` starts with this base's network: the same
@@ -549,9 +561,11 @@ class _Base:
         when it is exact for ``net`` (this base is not zero, and ``net``'s
         new nodes read and its outputs are only this network's inputs,
         outputs or new ports) and its plan is at most BULK_NODE_BITS wide;
-        otherwise the result is None.  The run is charged to ``stats``.  It
-        reads the cached tables and builds a missing one without keeping it,
-        so it writes nothing into this base.
+        otherwise the result is None, found without planning when a node's
+        scope alone is wider.  The run is charged to ``stats``.  It reads
+        the cached tables and builds a missing one without keeping it, so it
+        writes nothing into this base.  With ``net`` this base's own
+        network, the result answers every query on it.
         """
         graph, rep, pinned = self.graph, self.rep, self.pinned
         shown = graph.inputs() + graph.out
@@ -560,6 +574,9 @@ class _Base:
         frontier = {rep[w] for w in shown if rep[w] not in pinned}
         scopes = [frozenset(f.wires) for f in self.summary]
         scopes += [node.scope(pinned) for node in self.nodes.values()]
+        # a plan is at least as wide as its widest scope
+        if _scope_width(scopes) > BULK_NODE_BITS:
+            return None
         verts = set(frontier).union(*scopes)
         plan = _greedy_order(verts, scopes, sorted(verts - frontier))
         if plan.width > BULK_NODE_BITS:
@@ -674,7 +691,11 @@ class _Problem:
 def _query_base(net: MBN, stats: ElimStats) -> _Base:
     """The query base of ``net``, kept on the network.
 
-    A network that holds its own base returns it.  One that holds another
+    A network that holds its own base returns it; the first time after the
+    query that built it, if the base still holds node records, it is first
+    replaced by its own summary (``summarized``, charged to ``stats``), so
+    the second and later queries plan over the summary factors alone.  The
+    summary is tried once per base.  One that holds another
     base, handed on by ``attach_update``, extends it by the new nodes when
     ``net`` starts with that base's network: on top of the held base's
     summary when ``summarized`` gives one (its elimination is charged to
@@ -686,6 +707,12 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     """
     held = net.preparation
     if held is not None and held.graph is net.graph and held.ev is net.ev:
+        if held.nodes and not held.tried_summary:
+            held.tried_summary = True
+            summary = held.summarized(net, stats)
+            if summary is not None:
+                object.__setattr__(net, "preparation", summary)
+                return summary
         return held
     base = None
     if held is not None and held._extends(net):
@@ -712,8 +739,9 @@ class PreparedNet:
     ``PreparedNet(net)`` only stores ``net``.  The first
     ``scheduled_eliminate`` call on it, or on a network from its
     ``restrict``, builds the base (merged diagonal wire classes, point-mass
-    pins, read classes) and every node factor that call needs; later calls
-    reuse them and add only the factors they need that are still missing.
+    pins, read classes) and every node factor that call needs; the second
+    call replaces the base by its summary where that fits, and later calls
+    reuse what is there, adding only factors still missing.
     The base is kept on ``net`` itself (``MBN.preparation``), so it lives
     as long as the network, and a network from ``attach_update`` extends
     its parent's base, or the summary of its parent's history to the place
@@ -1011,10 +1039,11 @@ def scheduled_eliminate(net: MBN | PreparedNet
     matrix built from it.  A ``PreparedNet`` also shares it with its
     restrictions.  A network from ``attach_update`` extends the base its
     parent held instead of building one from nothing; when it first sums
-    the parent's history out to the place wires, that elimination runs in
-    this call and counts in the returned stats (``contractions``,
+    the parent's history out to the place wires, or when a second call sums
+    the network itself out (``_query_base``), that elimination runs in this
+    call and counts in the returned stats (``contractions``,
     ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
-    width.
+    width.  ``stats.summarized`` says whether the plan ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when no tabulated
@@ -1030,6 +1059,7 @@ def scheduled_eliminate(net: MBN | PreparedNet
     prepared = net if isinstance(net, PreparedNet) else PreparedNet(net)
     stats = ElimStats()
     base = prepared.base(stats)
+    stats.summarized = bool(base.summary)
     graph = prepared.net.graph
     problem = base.problem(graph, BULK_NODE_BITS)
     if not problem.lazy:

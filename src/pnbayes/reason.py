@@ -10,8 +10,11 @@ whole observation sequence at once.
 
 All queries on one ``Posterior`` share one preparation of its network
 (``eliminate.PreparedNet``): the first query builds the node factors
-inside its ``scheduled_eliminate`` call, every later marginal, mass or
-joint query reuses them, and they are freed with the network.  The
+inside its ``scheduled_eliminate`` call, and the second sums the network
+out to its place wires once, so every later marginal, mass or joint query
+plans over that summary instead of the whole trace (where the summary
+would be too wide, they reuse the node factors).  It is freed with the
+network.  ``Posterior.marginals`` asks every place's marginal.  The
 preparation lives on the network and moves on with each step:
 ``Posterior.observe`` (like ``mbn.attach_update``, which it calls) hands
 it to the next network, whose first query sums the older history out to
@@ -20,8 +23,8 @@ queries after every step thus builds each node factor once per trace, and
 a query costs about the same at step 20 as at step 1.  Where the summary
 would be too wide (a node over many places), or point masses conflict,
 the next network takes the older node records over instead.
-``run`` builds no preparation along the way, so its queries plan over the
-whole trace.
+``run`` builds no preparation along the way, so the first query on its
+posterior plans over the whole trace.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -95,8 +98,9 @@ class Posterior:
     The network is unnormalized: its total mass is the probability of the
     observations, and queries normalize at the end.  Every query on one
     posterior shares one preparation of the network: its first query
-    builds the node factors, later queries reuse them, and they are freed
-    with the network.  The posterior from ``observe`` extends that
+    builds the node factors, its second replaces them by the network summed
+    out to its place wires, which later queries read, and all of it is
+    freed with the network.  The posterior from ``observe`` extends that
     preparation instead of building its own.
     """
 
@@ -122,6 +126,15 @@ class Posterior:
         """Posterior marginal over ``places``, normalized."""
         raw, _, _ = self.query_stats(places)
         return normalize(raw)
+
+    def marginals(self, places: Sequence[str] | None = None
+                  ) -> dict[str, ProbVector]:
+        """Each place's posterior marginal, normalized, keyed by place:
+        ``places`` in the given order, or every place of the net.  One
+        ``marginal`` query per place, so all but the posterior's first query
+        read its summary (see the class docstring)."""
+        asked = self.net.places if places is None else places
+        return {p: self.marginal([p]) for p in asked}
 
     def mass(self) -> float:
         """Probability of the observed trace (the normalization constant)."""

@@ -140,7 +140,8 @@ def test_query_stats_prints_one_json_line_per_query(tmp_path, capsys):
         assert json.loads(line) == {
             **query, "width": order.width,
             "max_factor_wires": stats.max_factor_wires,
-            "contractions": stats.contractions, "grouped": False}
+            "contractions": stats.contractions, "grouped": False,
+            "summarized": stats.summarized}
 
     # a forced order reports that order's width
     assert main(["width", GOSSIP_TRACE]) == 0
@@ -154,6 +155,23 @@ def test_query_stats_prints_one_json_line_per_query(tmp_path, capsys):
     report = json.loads(line)
     assert report["marginal"] == "K3" and report["grouped"] is False
     assert 0 < report["max_factor_wires"] <= report["width"]
+
+
+def test_query_stats_reports_whether_a_query_read_the_summary(capsys):
+    flags = ["--marginal", "K3", "--marginal", "K1", "--marginal", "K2",
+             "--mass", "--stats"]
+    assert main(["query", GOSSIP_TRACE] + flags) == 0
+    lines = capsys.readouterr().out.splitlines()
+    answers = [line.split(": ")[1] for line in lines[::2]]
+    reports = [json.loads(line) for line in lines[1::2]]
+    # the first query plans over the trace; the second sums the posterior
+    # out to its place wires, which the rest read
+    assert [r["summarized"] for r in reports] == [False, True, True, True]
+    assert reports[1]["contractions"] > reports[2]["contractions"]
+    posterior = run(load_trace(GOSSIP_TRACE))
+    want = [posterior.marginal([p]).entry(1) for p in ("K3", "K1", "K2")]
+    assert [float(a) for a in answers[:3]] == pytest.approx(want, abs=1e-12)
+    assert float(answers[3]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_query_stats_reports_grouped_contraction(tmp_path, capsys):

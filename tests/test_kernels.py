@@ -1,5 +1,6 @@
 """The contraction kernel and the grouped join against einsum."""
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,69 @@ def test_wide_contraction(rng):
     want = einsum_reference(tables, slots, 12)
     got = kernels.sum_product_pair(tables, slots, 12)
     assert np.allclose(got, want)
+
+
+def unblocked_reference(tables, slots, out_bits):
+    """The full product over the output wires and the summed one, summed
+    along the latter: the same multiplications in the same order."""
+    product = kernels._broadcast_product(tables, slots, out_bits + 1)
+    return np.asarray(product.sum(axis=out_bits)).ravel()
+
+
+def random_layout(rng, n_out, n_factors, uncovered):
+    """``random_problem`` with ``uncovered`` output slots held by no
+    factor, which the result broadcasts over, and the einsum answer."""
+    kept = sorted(int(k) for k in rng.permutation(n_out)[:n_out - uncovered])
+    tables, compact = random_problem(rng, len(kept), n_factors)
+    want = einsum_reference(tables, compact, len(kept))
+    shape = [2 if k in kept else 1 for k in range(n_out)]
+    want = np.broadcast_to(want.reshape(shape), (2,) * n_out).ravel()
+    place = dict(enumerate(kept))
+    place[len(kept)] = n_out
+    return tables, [tuple(place[a] for a in sl) for sl in compact], want
+
+
+@pytest.mark.parametrize("block_bits", [2, 3, kernels.BLOCK_BITS])
+def test_blocked_contractions_match_einsum(rng, block_bits, monkeypatch):
+    # small blocks split the outputs of these layouts into many blocks
+    monkeypatch.setattr(kernels, "BLOCK_BITS", block_bits)
+    seen = set()
+    for _ in range(60):
+        n_out = int(rng.integers(0, 9))
+        n_factors = int(rng.integers(1, 5))
+        uncovered = int(rng.integers(0, min(n_out, 2) + 1))
+        tables, slots, want = random_layout(rng, n_out, n_factors,
+                                            uncovered)
+        got = kernels.sum_product_pair(tables, slots, n_out)
+        assert got.shape == (1 << n_out,)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), slots
+        assert np.array_equal(got, unblocked_reference(tables, slots,
+                                                       n_out)), slots
+        seen.update({("blocks", n_out > block_bits), ("one table",
+                     n_factors == 1), ("broadcast", uncovered > 0),
+                     ("scalar", n_out == 0)})
+    assert all((kind, True) in seen
+               for kind in ("one table", "broadcast", "scalar"))
+    assert ("blocks", block_bits < 8) in seen
+
+
+def test_a_wide_contraction_allocates_its_result_and_a_few_blocks(rng):
+    out_bits = 21
+    tables, slots = random_problem(rng, out_bits, 3)
+    inputs = sum(t.nbytes for t in tables)
+    block = 8 << kernels.BLOCK_BITS
+    tracemalloc.start()
+    try:
+        got = kernels.sum_product_pair(tables, slots, out_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out_bits > kernels.BLOCK_BITS
+    # the result, the two half products of one block and one product in
+    # flight; the unblocked product over 22 wires alone is twice the result
+    assert peak <= got.nbytes + inputs + 3 * block
+    want = einsum_reference(tables, slots, out_bits)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_join_matches_einsum(rng):

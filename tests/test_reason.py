@@ -175,22 +175,28 @@ def _ask(posterior, kind, places):
 
 
 def _cached_and_fresh_agree(trace, rng):
-    """Ask a shuffled mix of queries on one posterior; each must match the
-    same query on a fresh posterior."""
+    """Ask a shuffled mix of queries on one posterior.  The first one plans
+    and counts as the same query on a fresh posterior does; later ones plan
+    over the posterior's summary where it has one.  Every answer matches
+    the fresh posterior's to rel 1e-12 and the dense oracle's to 1e-6."""
     places = trace.net.places
     queries = [("marginal", (p,)) for p in places]
     several = rng.choice(len(places), size=min(3, len(places)), replace=False)
     queries += [("marginal", tuple(places[i] for i in several)),
                 ("joint", places), ("mass", ())]
     rng.shuffle(queries)
+    dense = dense_posterior(trace)
     cached = run(trace)
-    for kind, asked in queries:
+    for k, (kind, asked) in enumerate(queries):
         fresh = run(trace)
         got_raw, got_order, got_stats = cached.query_stats(asked)
         raw, order, stats = fresh.query_stats(asked)
-        assert got_stats == stats
-        assert got_order.width == order.width
+        if k == 0:
+            assert got_stats == stats
+            assert got_order.width == order.width
         assert np.allclose(got_raw.data, raw.data, rtol=1e-12, atol=0.0)
+        assert got_raw.mass() == pytest.approx(dense.mass(), rel=1e-6,
+                                               abs=0.0)
         if kind == "mass":
             assert cached.mass() == pytest.approx(fresh.mass(), rel=1e-12,
                                                   abs=0.0)
@@ -198,8 +204,10 @@ def _cached_and_fresh_agree(trace, rng):
             with pytest.raises(InconsistentEvidence):
                 _ask(cached, kind, asked)
         else:
-            want = _ask(fresh, kind, asked)
-            assert _ask(cached, kind, asked).allclose(want, atol=1e-12)
+            got = _ask(cached, kind, asked)
+            assert got.allclose(_ask(fresh, kind, asked), atol=1e-12)
+            want = normalize(marginal_of(dense, trace.net, asked))
+            assert got.allclose(want, atol=1e-6)
 
 
 def test_cached_queries_match_fresh_posteriors(rng):
@@ -328,12 +336,14 @@ def test_online_posteriors_extend_their_parents_base(semantics, prior_kind,
         # the handoff copies nothing
         assert posterior.mbn.preparation is held
         place = trace.net.places[int(rng.integers(len(trace.net.places)))]
-        for asked in ([place], ()):
-            posterior.query_stats(asked)
+        posterior.query_stats([place])
         base = posterior.mbn.preparation
         # the parent's history was summed out: no record of its nodes
         assert all(index >= held.graph.node_count for index in base.nodes)
         diagonal = diagonal or any(n.diagonal for n in base.nodes.values())
+        # the second query sums the new node out too
+        posterior.query_stats(())
+        assert not posterior.mbn.preparation.nodes
         online.append((posterior, place))
     assert diagonal
     # the online chain built each node factor once
@@ -515,14 +525,18 @@ def test_a_summary_too_wide_falls_back_to_records(start):
 
 def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
     trace = random_trace(rng, places=7, transitions=9, steps=6)
-    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
-    for step, obs in trace.steps[:-1]:
-        posterior = posterior.observe(step, obs)
-        posterior.mass()
-    queries = [[p] for p in trace.net.places] + [list(trace.net.places[:3]),
-                                                 []]
-    before = [posterior.query_stats(asked) for asked in queries]
+
+    def parent():
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        for step, obs in trace.steps[:-1]:
+            posterior = posterior.observe(step, obs)
+            posterior.mass()
+        return posterior
+    # two equal parents after one query each, so each base still holds a
+    # node record; only the first gets a child
+    posterior, alone = parent(), parent()
     base = posterior.mbn.preparation
+    assert base.nodes
     tables = dict(base._tables)
     saved = {index: f.table.copy() for index, f in tables.items()}
     child = posterior.observe(*trace.steps[-1])
@@ -533,10 +547,108 @@ def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
     assert posterior.mbn.preparation is base
     assert base._tables == tables
     assert all(np.array_equal(tables[i].table, saved[i]) for i in saved)
-    for asked, (raw, order, stats) in zip(queries, before):
+    # and the parent answers, summarizing itself on the way, as its twin
+    queries = [[p] for p in trace.net.places] + [list(trace.net.places[:3]),
+                                                 []]
+    for asked in queries:
         got_raw, got_order, got_stats = posterior.query_stats(asked)
+        raw, order, stats = alone.query_stats(asked)
         assert np.array_equal(got_raw.data, raw.data)
         assert got_stats == stats and got_order == order
+    assert posterior.mbn.preparation.summary
+
+
+# -- a posterior summarized on its second query --------------------------------
+
+def _random_traces(rng, count, **shape):
+    return [random_trace(rng, semantics="stochastic" if k % 2 else
+                         "independent", **shape) for k in range(count)]
+
+
+def test_the_second_query_replaces_the_records_by_a_summary(rng):
+    charged = []
+    for trace in _random_traces(rng, 4, places=6, transitions=8, steps=5):
+        posterior = run(trace)
+        _, _, first = posterior.query_stats([trace.net.places[0]])
+        base = posterior.mbn.preparation
+        assert base.nodes and not base.summary and not first.summarized
+        _, _, second = posterior.query_stats([trace.net.places[1]])
+        summary = posterior.mbn.preparation
+        assert summary is not base
+        assert not summary.nodes and summary.summary and second.summarized
+        # the summary's elimination counts in the query that ran it
+        _, _, third = posterior.query_stats([trace.net.places[1]])
+        charged.append(second.contractions - third.contractions)
+        assert posterior.mbn.preparation is summary
+    assert min(charged) >= 0 and max(charged) > 0
+
+
+def test_queries_after_the_summary_match_the_dense_oracle(rng):
+    for trace in _random_traces(rng, 6, places=7, transitions=9, steps=6):
+        dense = dense_posterior(trace)
+        posterior = run(trace)
+        places = trace.net.places
+        posterior.marginal([places[0]])
+        several = [places[i] for i in rng.choice(len(places), size=3,
+                                                 replace=False)]
+        for asked in (several, places[1:3], [places[0]]):
+            want = normalize(marginal_of(dense, trace.net, asked))
+            assert posterior.marginal(asked).allclose(want, atol=1e-6)
+        assert posterior.mbn.preparation.summary
+        assert posterior.joint().allclose(normalize(dense), atol=1e-6)
+        assert posterior.mass() == pytest.approx(dense.mass(), rel=1e-6,
+                                                 abs=0.0)
+        got = posterior.marginals()
+        assert list(got) == list(places)
+        for place, vec in got.items():
+            want = normalize(marginal_of(dense, trace.net, [place]))
+            assert vec.allclose(want, atol=1e-6)
+        assert list(posterior.marginals(places[::-2])) == list(places[::-2])
+
+
+def test_observe_on_a_summarized_parent_matches_run(rng):
+    for trace in _random_traces(rng, 4, places=6, transitions=8, steps=6):
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        for n, (step, obs) in enumerate(trace.steps, 1):
+            posterior = posterior.observe(step, obs)
+            posterior.marginals(trace.net.places[:2])
+            assert not posterior.mbn.preparation.nodes
+            want = run(ObservationTrace(trace.net, trace.prior,
+                                        trace.steps[:n]))
+            assert posterior.mass() == pytest.approx(want.mass(), rel=1e-12,
+                                                     abs=0.0)
+            for place, got in posterior.marginals().items():
+                assert got.allclose(want.marginal([place]), atol=1e-12)
+
+
+def test_a_wide_posterior_tries_its_summary_once_without_planning(
+        monkeypatch):
+    plans, tries, escalated = [], [], []
+    greedy, summarized = eliminate._greedy_order, eliminate._Base.summarized
+    run_hybrid = eliminate._run_hybrid
+
+    def counting(log, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            log.append(result)
+            return result
+        return wrapper
+    monkeypatch.setattr(eliminate, "_greedy_order", counting(plans, greedy))
+    monkeypatch.setattr(eliminate._Base, "summarized",
+                        counting(tries, summarized))
+    monkeypatch.setattr(eliminate, "_run_hybrid",
+                        counting(escalated, run_hybrid))
+    trace = nets.wide_trace(np.random.default_rng(0))
+    posterior = run(trace)
+    queries = [[p] for p in trace.net.places] + [[]]
+    for asked in queries:
+        posterior.query_stats(asked)
+    # every query escalates, as before; a node wider than BULK_NODE_BITS
+    # rules the summary out before it is planned, and only once
+    assert len(escalated) == len(queries) == 19
+    assert tries == [None]
+    assert len(plans) == len(queries)
+    assert posterior.mbn.preparation.nodes
 
 
 def test_observe_matches_run_on_the_extended_trace(rng):

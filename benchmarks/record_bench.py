@@ -85,52 +85,48 @@ def bench_run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def plans(checkout: Path) -> dict:
-    """Round 0 of each workload at PLAN_SEED, with ``query_stats`` in
-    place of ``marginal`` and ``mass``.
+    """Round 0 of each workload at PLAN_SEED, run by that checkout's
+    ``perfbench/worker.py`` pass, with the order and stats of every query.
 
-    This copies the session loop of ``perfbench/worker.py``'s ``Pass.run``
-    and must track it: the prior's network, ``build_update`` then
-    ``attach_update`` with ``step_index``, a new ``Posterior`` per step
-    and one query per asked place (``None`` asks the mass).  As there, a
-    failed update ends its session, recorded here as one error entry, and
-    a failed query is recorded and skipped.
+    They are taken by wrapping the ``scheduled_eliminate`` that
+    ``pnbayes.reason`` calls, as the worker's tracer does, and matched to
+    the query whose answer comes next.  A query without a plan or without
+    an answer is recorded as an error entry; a failed update fails every
+    query left in its session, as in the worker.
     """
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import worker
     import workloads
-    from pnbayes import mbn, reason
-    from pnbayes.bitmatrix import normalize
-    from pnbayes.errors import PnbayesError
-    from pnbayes.petri import CENet, StepSpec
+    from pnbayes import reason
 
+    eliminate = reason.scheduled_eliminate
     out = {}
     for workload in WORKLOADS:
+        sessions = workloads.round_sessions(workload, PLAN_SEED, 0)
+        done, taken = worker.Pass(), {}
+
+        def record(*args, **kwargs):
+            result = eliminate(*args, **kwargs)
+            taken[len(done.answers)] = result[1:]
+            return result
+        reason.scheduled_eliminate = record
+        try:
+            done.run(worker.program_inputs(sessions))
+        finally:
+            reason.scheduled_eliminate = eliminate
+        asked = [place for s in sessions for *_, queries in s["steps"]
+                 for place in queries]
         queries = []
-        for s in workloads.round_sessions(workload, PLAN_SEED, 0):
-            net = CENet(s["places"], s["transitions"])
-            state = reason.PriorSpec(marginals=s["prior"]).as_mbn(net)
-            for k, (sem, w, obs, asked) in enumerate(s["steps"]):
-                try:
-                    state = mbn.attach_update(
-                        state, mbn.build_update(net, StepSpec(sem, w)), obs,
-                        step_index=k)
-                except PnbayesError as exc:
-                    queries.append({"step": k, "error": repr(exc)})
-                    break
-                posterior = reason.Posterior(net, state)
-                for place in asked:
-                    try:
-                        raw, order, stats = posterior.query_stats(
-                            () if place is None else [place])
-                        value = (raw.mass() if place is None
-                                 else normalize(raw).entry(1))
-                    except PnbayesError as exc:
-                        queries.append({"place": place, "error": repr(exc)})
-                        continue
-                    queries.append({
-                        "place": place, "value": value,
-                        "max_factor_wires": stats.max_factor_wires,
-                        "contractions": stats.contractions,
-                        "width": order.width})
+        for k, (place, value) in enumerate(zip(asked, done.answers)):
+            if value is None or k not in taken:
+                error = "no answer" if value is None else "no plan"
+                queries.append({"place": place, "error": error})
+                continue
+            order, stats = taken[k]
+            queries.append({
+                "place": place, "value": value,
+                "max_factor_wires": stats.max_factor_wires,
+                "contractions": stats.contractions, "width": order.width})
         out[workload] = queries
     return out
 

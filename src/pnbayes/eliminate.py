@@ -25,11 +25,12 @@ output, or its sparse matrix over the same targets when a grouped step
 contracts it.  Both are built from one reader of the node's matrix
 entries.  A query derives its problem from the base cheaply: it sums the
 outputs it drops out of their factors and picks the nodes to keep as
-matrices.  A ``PreparedNet`` keeps one base for many queries.
+matrices.
 
-The base lives on the network (``MBN.preparation``).  A network from
-``mbn.attach_update`` holds its parent's base until its first query, which
-extends it by the new node.  Where that is exact and bounded, the parent's
+The base lives on the network (``MBN.preparation``), so every query on
+the network shares it.  A network from ``mbn.attach_update`` holds its
+parent's base until its first query, which extends it by the new node.
+Where that is exact and bounded, the parent's
 history is first summed out to its place wires (``_Base.summarized``): the
 new base holds the factors left over the parent's output classes and a
 record for the new node only, so a query plans and contracts about places
@@ -67,7 +68,7 @@ from .causality import (CausalityGraph, Generator, Wire, seq, tensor,
                         wiring_duplicate, wiring_identity, wiring_swap,
                         wiring_terminate, node_graph)
 from .errors import BadOrder, TooLarge, TypeMismatch, ValidationError
-from .mbn import MBN, terminate
+from .mbn import MBN, kept_places
 
 POINT_EPS = 1e-12
 MAX_FACTOR_BITS = kernels.MAX_CONTRACT_BITS
@@ -425,13 +426,15 @@ class _Base:
 
     It holds the merged diagonal wire classes, the point-mass pins, the
     classes some node reads, and each node's factor, or its sparse matrix
-    for a grouped step, once a query first asks for it.  With ``fold``,
-    both span the node's targets that are read or are outputs of the
-    network.  A query that drops an output sums it out of its single
-    producing factor, which is what folding it at construction would give;
-    a grouped step keeps it in its result, where it is confined and summed
-    out next.  A node whose base factor would span more than BULK_NODE_BITS
-    wires is not kept; each query that needs its table builds its own.
+    for a grouped step, once a query first asks for it.  A ``query`` base
+    pins point masses, and its factors and matrices span the node's targets
+    that are read or are outputs of the network.  A query that drops an
+    output sums it out of its single producing factor, which is what
+    folding it at construction would give; a grouped step keeps it in its
+    result, where it is confined and summed out next.  Without ``query``
+    (runs over an explicit order) nothing is pinned or folded.  A node
+    whose base factor would span more than BULK_NODE_BITS wires is not
+    kept; each query that needs its table builds its own.
 
     A base is built node by node on top of a ``parent`` base, or of the
     empty base.  The parent's records are taken as they are, which is
@@ -452,8 +455,8 @@ class _Base:
     wires of its records and the summarized network's inputs and outputs.
     """
 
-    def __init__(self, net: MBN, merge_diagonal: bool, fold: bool,
-                 pin: bool, parent: _Base | None = None):
+    def __init__(self, net: MBN, merge_diagonal: bool, query: bool,
+                 parent: _Base | None = None):
         graph = net.graph
         if parent is None:
             first, fresh = 0, list(graph.inputs())
@@ -488,7 +491,7 @@ class _Base:
             rep[w] = uf.find(w)
 
         skipped = set()
-        if pin:
+        if query:
             for v in added:
                 if v in diagonal_nodes or graph.gens[v].in_arity != 0:
                     continue
@@ -516,14 +519,14 @@ class _Base:
                 nodes[v] = _Node(v, mat, src, (), (), diagonal=True)
                 continue
             tgt = tuple(rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
-            live = tuple(not fold or w in kept for w in tgt)
+            live = tuple(not query or w in kept for w in tgt)
             nodes[v] = _Node(v, mat, src, tgt, live)
         self.graph = graph
         self.ev = net.ev
         self.rep = rep
         self.pinned = pinned
         self.zero = zero
-        self.fold = fold
+        self.query = query
         self.read = read
         self.kept = kept
         self.nodes = nodes
@@ -586,8 +589,6 @@ class _Base:
             table = self._tables.get(index)
             factors.append(table if table is not None
                            else _node_factor(node, pinned))
-        for f in factors:
-            stats.track(f.size)
         left = _absorb(_run(factors, plan.wires, stats))
         for f in left:
             f.table.flags.writeable = False
@@ -598,23 +599,23 @@ class _Base:
         base.summary = tuple(left)
         return base
 
-    def problem(self, graph: CausalityGraph,
+    def problem(self, out: Sequence[Wire],
                 bulk_bits: int | None = None) -> _Problem:
-        """The elimination problem of ``graph``, which is the base network
-        with the same nodes and some of its outputs.
+        """The elimination problem of the base network with only the
+        output wires ``out``.
 
         Nodes whose factor would span more than ``bulk_bits`` live wires
         are kept as matrices (``lazy``).  No table is built here.
         """
-        rep, pinned = self.rep, self.pinned
-        kept = self.read | {rep[w] for w in graph.out}
+        graph, rep, pinned = self.graph, self.rep, self.pinned
+        kept = self.read | {rep[w] for w in out}
         tabulated: list[tuple[int, tuple[bool, ...]]] = []
         scopes = [frozenset(f.wires) for f in self.summary]
         lazy: list[tuple[int, tuple[bool, ...]]] = []
         in_factors: set[Wire] = set().union(*scopes)
         for node in self.nodes.values():
             live = node.live
-            if self.fold:
+            if self.query:
                 live = tuple(w in kept for w in node.tgt)
             scope = node.scope(pinned, live)
             in_factors.update(scope)
@@ -626,11 +627,11 @@ class _Base:
             scopes.append(scope)
 
         ext_slots = tuple(rep[w] for w in graph.inputs()) + \
-            tuple(rep[w] for w in graph.out)
+            tuple(rep[w] for w in out)
         external = set(ext_slots)
         internal = tuple(sorted(w for w in in_factors if w not in external))
         return _Problem(self, tabulated, scopes, internal, ext_slots,
-                        graph.in_arity, graph.out_arity, lazy)
+                        graph.in_arity, len(out), lazy)
 
     def factor(self, index: int, live: tuple[bool, ...]) -> Factor:
         """Node ``index``'s factor over its ``live`` targets."""
@@ -718,55 +719,19 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     if held is not None and held._extends(net):
         summary = held.summarized(net, stats)
         if summary is not None:
-            base = _Base(net, merge_diagonal=True, fold=True, pin=True,
+            base = _Base(net, merge_diagonal=True, query=True,
                          parent=summary)
         elif held._knows(net, held.rep):
-            base = _Base(net, merge_diagonal=True, fold=True, pin=True,
+            base = _Base(net, merge_diagonal=True, query=True,
                          parent=held)
             n = held.graph.node_count
             if {w for w in base.kept if w.node < n} != held.kept:
                 base = None
     if base is None:
-        base = _Base(net, merge_diagonal=True, fold=True, pin=True)
+        base = _Base(net, merge_diagonal=True, query=True)
     # the network is frozen; its preparation is a cache beside its fields
     object.__setattr__(net, "preparation", base)
     return base
-
-
-class PreparedNet:
-    """A network whose query-independent preparation is built once.
-
-    ``PreparedNet(net)`` only stores ``net``.  The first
-    ``scheduled_eliminate`` call on it, or on a network from its
-    ``restrict``, builds the base (merged diagonal wire classes, point-mass
-    pins, read classes) and every node factor that call needs; the second
-    call replaces the base by its summary where that fits, and later calls
-    reuse what is there, adding only factors still missing.
-    The base is kept on ``net`` itself (``MBN.preparation``), so it lives
-    as long as the network, and a network from ``attach_update`` extends
-    its parent's base, or the summary of its parent's history to the place
-    wires, instead of building its own from nothing.
-    """
-
-    def __init__(self, net: MBN):
-        self.net = net
-        # a restriction points at the network it restricts; the owner
-        # points at nothing, so no reference cycle delays freeing the base
-        self._owner: PreparedNet | None = None
-
-    def restrict(self, places: Iterable[str]) -> PreparedNet:
-        """The same network with only ``places`` as outputs, sharing this
-        network's base."""
-        owner = self._owner or self
-        view = PreparedNet(terminate(owner.net, places))
-        view._owner = owner
-        return view
-
-    def base(self, stats: ElimStats | None = None) -> _Base:
-        """The base, built or extended if need be; a summary taken on the
-        way is charged to ``stats``."""
-        return _query_base((self._owner or self).net,
-                           ElimStats() if stats is None else stats)
 
 
 # -- running an elimination ---------------------------------------------------
@@ -791,6 +756,8 @@ def _contract(group: list[Factor], z: Wire, stats: ElimStats) -> Factor:
 def _run(factors: list[Factor], order: Sequence[Wire],
          stats: ElimStats) -> list[Factor]:
     factors = list(factors)
+    for f in factors:
+        stats.track(f.size)
     for z in order:
         group = [f for f in factors if z in f.wires]
         factors = [f for f in factors if z not in f.wires]
@@ -992,8 +959,8 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
 def initial_factors(net: MBN, merge_diagonal: bool = False) -> list[Factor]:
     """One factor per node; with ``merge_diagonal`` the diagonal-flagged
     nodes contribute a half-arity factor over merged wire classes."""
-    base = _Base(net, merge_diagonal, fold=False, pin=False)
-    return base.problem(net.graph).factors()
+    base = _Base(net, merge_diagonal, query=False)
+    return base.problem(net.graph.out).factors()
 
 
 def run_elimination_stats(net: MBN, order: ElimOrder | Sequence[Wire],
@@ -1004,16 +971,13 @@ def run_elimination_stats(net: MBN, order: ElimOrder | Sequence[Wire],
     problems = _order_problems(wires, graph.internal_wires())
     if problems:
         raise BadOrder("; ".join(problems))
-    base = _Base(net, merge_diagonal, fold=False, pin=False)
-    problem = base.problem(graph)
+    base = _Base(net, merge_diagonal, query=False)
+    problem = base.problem(graph.out)
     # a merged class is summed out where its last member would have been
     last = {base.rep[w]: k for k, w in enumerate(wires)}
     rep_order = sorted(problem.internal, key=last.__getitem__)
     stats = ElimStats()
-    factors = problem.factors()
-    for f in factors:
-        stats.track(f.size)
-    left = _run(factors, rep_order, stats)
+    left = _run(problem.factors(), rep_order, stats)
     return _combine(problem, left), stats
 
 
@@ -1028,20 +992,24 @@ def run_elimination(net: MBN, order: ElimOrder | Sequence[Wire],
     return run_elimination_stats(net, order, merge_diagonal)[0]
 
 
-def scheduled_eliminate(net: MBN | PreparedNet
+def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
                         ) -> tuple[TypedMatrix, ElimOrder, ElimStats]:
-    """The query path: always fold dead outputs, merge diagonal wires and
-    pin point masses, then eliminate the internal wires by min-degree.
+    """The query path: the marginal of ``net`` over ``places`` (every
+    output when None, else the asked places in net order, each output
+    outside them summed out).  It always folds dead outputs, merges
+    diagonal wires and pins point masses, then eliminates the internal
+    wires by min-degree.
 
-    ``net`` is a network or a ``PreparedNet``.  Either way the base is
-    kept on the network: a bare network keeps it too, and a later call on
-    the same network reuses it, with every node factor and grouped-step
-    matrix built from it.  A ``PreparedNet`` also shares it with its
-    restrictions.  A network from ``attach_update`` extends the base its
-    parent held instead of building one from nothing; when it first sums
-    the parent's history out to the place wires, or when a second call sums
-    the network itself out (``_query_base``), that elimination runs in this
-    call and counts in the returned stats (``contractions``,
+    The places are checked before anything is prepared: an unknown place,
+    or places asked of a network without a place map, raises
+    ``MissingPlace`` and leaves ``net.preparation`` as it was.  The base is
+    kept on the network (``_query_base``), so a later call on the same
+    network, over any places, reuses it with every node factor and
+    grouped-step matrix built from it.  A network from ``attach_update``
+    extends the base its parent held instead of building one from nothing;
+    when it first sums the parent's history out to the place wires, or when
+    a second call sums the network itself out, that elimination runs in
+    this call and counts in the returned stats (``contractions``,
     ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
     width.  ``stats.summarized`` says whether the plan ran over a summary.
 
@@ -1056,24 +1024,21 @@ def scheduled_eliminate(net: MBN | PreparedNet
     the realized width (the widest table the run produced).  Both
     thresholds are read when the call starts.
     """
-    prepared = net if isinstance(net, PreparedNet) else PreparedNet(net)
+    out = net.graph.out if places is None else tuple(
+        net.place_wire(p) for p in kept_places(net, places))
     stats = ElimStats()
-    base = prepared.base(stats)
+    base = _query_base(net, stats)
     stats.summarized = bool(base.summary)
-    graph = prepared.net.graph
-    problem = base.problem(graph, BULK_NODE_BITS)
+    problem = base.problem(out, BULK_NODE_BITS)
     if not problem.lazy:
         plan = _greedy_order(problem.vertices(), problem.scopes,
                              problem.internal)
         # width counts a factor's wires after the sum-out; the contraction
         # in flight holds one more, so a plan at the guard must escalate
         if plan.width < MAX_FACTOR_BITS:
-            factors = problem.factors()
-            for f in factors:
-                stats.track(f.size)
-            left = _run(factors, plan.wires, stats)
+            left = _run(problem.factors(), plan.wires, stats)
             return _combine(problem, left), plan, stats
-    problem = base.problem(graph, GROUP_NODE_BITS)
+    problem = base.problem(out, GROUP_NODE_BITS)
     if base.zero:
         return _combine(problem, []), ElimOrder((), 0), stats
     left, sequence = _run_hybrid(problem, stats)

@@ -285,19 +285,25 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     return MBN(graph, ev, net.places, net.preparation)
 
 
-def terminate(net: MBN, keep: Iterable[str]) -> MBN:
-    """Drop all places outside ``keep`` from the outputs.
-
-    The dropped wires become internal, so evaluation marginalizes them
-    away; the result's outputs follow net declaration order.
-    """
+def kept_places(net: MBN, keep: Iterable[str]) -> tuple[str, ...]:
+    """The places of ``keep`` in net declaration order, once each; an
+    unknown place, or a network without a place map, raises MissingPlace."""
     if net.places is None:
         raise MissingPlace("this MBN carries no place map")
     keep = set(keep)
     for p in keep:
         if p not in net.places:
             raise MissingPlace(f"unknown place {p!r}")
-    kept = tuple(p for p in net.places if p in keep)
+    return tuple(p for p in net.places if p in keep)
+
+
+def terminate(net: MBN, keep: Iterable[str]) -> MBN:
+    """Drop all places outside ``keep`` from the outputs.
+
+    The dropped wires become internal, so evaluation marginalizes them
+    away; the result's outputs follow net declaration order.
+    """
+    kept = kept_places(net, keep)
     new_out = tuple(net.place_wire(p) for p in kept)
     graph = replace(net.graph, out=new_out)
     return MBN(graph, net.ev, kept)

@@ -8,23 +8,23 @@ and queries run scheduled variable elimination over the accumulated
 graph.  Normalization is deferred to query time, which conditions on the
 whole observation sequence at once.
 
-All queries on one ``Posterior`` share one preparation of its network
-(``eliminate.PreparedNet``): the first query builds the node factors
-inside its ``scheduled_eliminate`` call, and the second sums the network
+Every query is one ``eliminate.scheduled_eliminate`` call on the
+posterior's network with the asked places, and all of them share one
+preparation, kept on the network (``MBN.preparation``) and freed with it:
+the first query builds the node factors, and the second sums the network
 out to its place wires once, so every later marginal, mass or joint query
 plans over that summary instead of the whole trace (where the summary
-would be too wide, they reuse the node factors).  It is freed with the
-network.  ``Posterior.marginals`` asks every place's marginal.  The
-preparation lives on the network and moves on with each step:
-``Posterior.observe`` (like ``mbn.attach_update``, which it calls) hands
-it to the next network, whose first query sums the older history out to
-the place wires and adds the new node to that summary.  An observer who
-queries after every step thus builds each node factor once per trace, and
-a query costs about the same at step 20 as at step 1.  Where the summary
-would be too wide (a node over many places), or point masses conflict,
-the next network takes the older node records over instead.
-``run`` builds no preparation along the way, so the first query on its
-posterior plans over the whole trace.
+would be too wide, they reuse the node factors).
+``Posterior.marginals`` asks every place's marginal.  The preparation
+moves on with each step: ``Posterior.observe`` (like
+``mbn.attach_update``, which it calls) hands it to the next network, whose
+first query sums the older history out to the place wires and adds the new
+node to that summary.  An observer who queries after every step thus
+builds each node factor once per trace, and a query costs about the same
+at step 20 as at step 1.  Where the summary would be too wide (a node over
+many places), or point masses conflict, the next network takes the older
+node records over instead.  ``run`` builds no preparation along the way,
+so the first query on its posterior plans over the whole trace.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,7 +41,7 @@ import numpy as np
 from . import chain
 from .bitmatrix import ProbVector, normalize, parse_vector
 from .chain import DEFAULT_PLACE_LIMIT, OBSERVATIONS
-from .eliminate import ElimOrder, ElimStats, PreparedNet, scheduled_eliminate
+from .eliminate import ElimOrder, ElimStats, scheduled_eliminate
 from .errors import TooLarge, ValidationError
 from .mbn import (MBN, attach_update, build_update, prior_independent,
                   prior_joint)
@@ -97,29 +96,22 @@ class Posterior:
 
     The network is unnormalized: its total mass is the probability of the
     observations, and queries normalize at the end.  Every query on one
-    posterior shares one preparation of the network: its first query
-    builds the node factors, its second replaces them by the network summed
-    out to its place wires, which later queries read, and all of it is
-    freed with the network.  The posterior from ``observe`` extends that
-    preparation instead of building its own.
+    posterior shares one preparation of the network, kept on the network
+    itself: its first query builds the node factors, its second replaces
+    them by the network summed out to its place wires, which later queries
+    read, and all of it is freed with the network.  The posterior from
+    ``observe`` extends that preparation instead of building its own.
     """
 
     net: CENet
     mbn: MBN
 
-    @cached_property
-    def _prepared(self) -> PreparedNet:
-        return PreparedNet(self.mbn)
-
     def query_stats(self, places: Sequence[str]
                     ) -> tuple[ProbVector, ElimOrder, ElimStats]:
         """Unnormalized marginal over ``places`` (kept in net order),
         plus the elimination order used and its bookkeeping."""
-        for p in places:
-            self.net.place_index(p)
-        keep = [p for p in self.net.places if p in set(places)]
-        mat, order, stats = scheduled_eliminate(self._prepared.restrict(keep))
-        raw = ProbVector(len(keep), mat.to_dense()[:, 0])
+        mat, order, stats = scheduled_eliminate(self.mbn, places)
+        raw = ProbVector(mat.out_arity, mat.to_dense()[:, 0])
         return raw, order, stats
 
     def marginal(self, places: Sequence[str]) -> ProbVector:

@@ -13,11 +13,13 @@ from pnbayes.eliminate import (ConstT, GenT, SeqT, TensorT, TreeDecomposition,
                                scheduled_eliminate, term_graph, term_type,
                                term_width, tree_decomposition_from_order,
                                validate_tree_decomposition)
-from pnbayes.errors import (BadOrder, TooLarge, TypeMismatch,
+from pnbayes.errors import (BadOrder, MissingPlace, TooLarge, TypeMismatch,
                             ValidationError)
 from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          prior_independent, prior_point, terminate,
                          uniform_prior)
+from pnbayes.randnet import random_trace
+from pnbayes.reason import run
 
 import reference_nets as nets
 
@@ -189,6 +191,51 @@ def test_scheduled_reports_realized_width(gossip_net, gossip_step):
     _, plan, stats = scheduled_eliminate(marg)
     assert stats.max_factor_wires <= plan.width
     assert stats.contractions >= 1
+    # the input tables count too, not only the contractions' results
+    _, _, whole = scheduled_eliminate(posterior)
+    assert whole.max_factor_wires >= max(
+        f.size for f in initial_factors(posterior, merge_diagonal=True))
+
+
+@pytest.mark.parametrize("escalating", [False, True])
+def test_scheduled_eliminate_asks_places_of_the_network(escalating,
+                                                        monkeypatch):
+    """Asking places of a network answers and plans as eliminating the
+    network terminated at them does, a second call reuses the network's
+    base, and the places are checked before any base is built."""
+    if escalating:
+        trace = nets.wide_trace(np.random.default_rng(0))
+    else:
+        trace = random_trace(np.random.default_rng(3), places=6,
+                             transitions=8, steps=8)
+    places = trace.net.places
+    built = []
+    init = eliminate._Base.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(eliminate._Base, "__init__", counted)
+    for asked in (None, (), places[1::2], places):
+        net = run(trace).mbn
+        mat, order, stats = scheduled_eliminate(net, asked)
+        want, want_order, want_stats = scheduled_eliminate(terminate(
+            run(trace).mbn, places if asked is None else asked))
+        assert np.array_equal(mat.to_dense(), want.to_dense())
+        assert order == want_order
+        assert stats == want_stats
+        assert bool(stats.grouped_steps) == escalating
+        built.clear()
+        again, _, _ = scheduled_eliminate(net, asked)
+        assert not built and net.preparation is not None
+        assert np.allclose(again.to_dense(), mat.to_dense(), rtol=1e-12,
+                           atol=0.0)
+    fresh = run(trace).mbn
+    for bad in (MBN(fresh.graph, fresh.ev), fresh):
+        with pytest.raises(MissingPlace):
+            scheduled_eliminate(bad, [places[0], "nowhere"])
+        assert bad.preparation is None
+    assert not built
 
 
 def test_point_mass_pinning_shrinks_factors(gossip_net, gossip_step,

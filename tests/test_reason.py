@@ -160,9 +160,11 @@ def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
 def test_preparation_lives_and_dies_with_the_posterior():
     posterior = run(nets.gossip_trace())
     posterior.mass()
-    base = weakref.ref(posterior._prepared.base())
+    base = weakref.ref(posterior.mbn.preparation)
     assert posterior == Posterior(posterior.net, posterior.mbn)
-    assert run(nets.gossip_trace())._prepared.base() is not base()
+    other = run(nets.gossip_trace())
+    other.mass()
+    assert other.mbn.preparation is not base()
     # freed by reference counting alone: no cycle waits for the collector
     del posterior
     assert base() is None
@@ -243,7 +245,7 @@ def test_cached_queries_match_fresh_when_escalating(rng):
 def _assert_fresh_base(base, net):
     """``base`` equals the base built for ``net`` from nothing, field by
     field, with the very same matrix objects in its node records."""
-    want = eliminate._Base(net, merge_diagonal=True, fold=True, pin=True)
+    want = eliminate._Base(net, merge_diagonal=True, query=True)
     assert base.rep == want.rep
     assert base.read == want.read
     assert base.pinned == want.pinned

@@ -189,8 +189,14 @@ def _replay_width(vertices, scopes, order: Sequence[Wire]) -> int:
 
 def _greedy_order(vertices, scopes, internal: Iterable[Wire]) -> ElimOrder:
     """Min-degree greedy elimination, smallest wire id breaking ties."""
-    graph = ElimGraph(vertices, scopes)
-    width = _scope_width(scopes)
+    return _min_degree(ElimGraph(vertices, scopes), internal,
+                       _scope_width(scopes))
+
+
+def _min_degree(graph: ElimGraph, internal: Iterable[Wire],
+                width: int) -> ElimOrder:
+    """Eliminate ``internal`` from ``graph`` by min degree, smallest wire
+    id breaking ties; the width is at least ``width``."""
     order: list[Wire] = []
     remaining = set(internal)
     while remaining:
@@ -559,37 +565,30 @@ class _Base:
         """This network summed out to its inputs and unpinned output
         classes, as a base with no node records, for ``net`` to extend.
 
-        One min-degree elimination of every other wire turns the summary
-        factors and the node factors into the new summary.  It is taken only
-        when it is exact for ``net`` (this base is not zero, and ``net``'s
-        new nodes read and its outputs are only this network's inputs,
-        outputs or new ports) and its plan is at most BULK_NODE_BITS wide;
-        otherwise the result is None, found without planning when a node's
-        scope alone is wider.  The run is charged to ``stats``.  It reads
-        the cached tables and builds a missing one without keeping it, so it
-        writes nothing into this base.  With ``net`` this base's own
-        network, the result answers every query on it.
+        It is the problem of this network over all its outputs
+        (``problem``), eliminated by min-degree; the factors left are the
+        new summary.  It is taken only when it is exact for ``net`` (this
+        base is not zero, and ``net``'s new nodes read and its outputs are
+        only this network's inputs, outputs or new ports) and its plan is
+        at most BULK_NODE_BITS wide; otherwise the result is None, found
+        without planning when a node would be kept as a matrix.  The run is
+        charged to ``stats``.  Its factors come from ``problem.factors()``,
+        so a node table not built yet is built and kept in this base, as by
+        any query; nothing already in the base changes.  With ``net`` this
+        base's own network, the result answers every query on it.
         """
-        graph, rep, pinned = self.graph, self.rep, self.pinned
+        graph, rep = self.graph, self.rep
         shown = graph.inputs() + graph.out
         if self.zero or not self._knows(net, set(shown)):
             return None
-        frontier = {rep[w] for w in shown if rep[w] not in pinned}
-        scopes = [frozenset(f.wires) for f in self.summary]
-        scopes += [node.scope(pinned) for node in self.nodes.values()]
-        # a plan is at least as wide as its widest scope
-        if _scope_width(scopes) > BULK_NODE_BITS:
+        problem = self.problem(graph.out, BULK_NODE_BITS)
+        if problem.lazy:
             return None
-        verts = set(frontier).union(*scopes)
-        plan = _greedy_order(verts, scopes, sorted(verts - frontier))
+        plan = _greedy_order(problem.vertices(), problem.scopes,
+                             problem.internal)
         if plan.width > BULK_NODE_BITS:
             return None
-        factors = list(self.summary)
-        for index, node in self.nodes.items():
-            table = self._tables.get(index)
-            factors.append(table if table is not None
-                           else _node_factor(node, pinned))
-        left = _absorb(_run(factors, plan.wires, stats))
+        left = _absorb(_run(problem.factors(), plan.wires, stats))
         for f in left:
             f.table.flags.writeable = False
         base = copy.copy(self)
@@ -1124,18 +1123,13 @@ def tree_decomposition_from_order(net: MBN | CausalityGraph,
     problems = _order_problems(wires, graph.internal_wires())
     if problems:
         raise BadOrder("; ".join(problems))
-    g = ElimGraph(graph.wires(), _node_scopes(graph))
-    full_order = list(wires)
     # replay the internal part, then extend min-degree over the externals
     shadow = ElimGraph(graph.wires(), _node_scopes(graph))
     for w in wires:
         shadow.eliminate(w)
-    remaining = set(graph.wires()) - set(wires)
-    while remaining:
-        w = min(remaining, key=lambda x: (len(shadow.neighbors(x)), x))
-        shadow.eliminate(w)
-        remaining.remove(w)
-        full_order.append(w)
+    rest = _min_degree(shadow, set(graph.wires()) - set(wires), 0)
+    full_order = wires + rest.wires
+    g = ElimGraph(graph.wires(), _node_scopes(graph))
     position = {w: i for i, w in enumerate(full_order)}
     bags = []
     parents: list[int | None] = []

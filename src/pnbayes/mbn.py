@@ -32,7 +32,7 @@ from .bitmatrix import (DENSIFY_BITS, ProbVector, TypedMatrix,
 from .causality import CausalityGraph, Generator, Wire, node_graph, validate
 from .chain import OBSERVATIONS, SUCCESS
 from .errors import MissingPlace, TooLarge, TypeMismatch, ValidationError
-from .petri import FAIL, CENet, StepSpec, relevant_sets
+from .petri import FAIL, STOCHASTIC, CENet, StepSpec, relevant_sets
 
 EVAL_WIRE_LIMIT = 22
 
@@ -203,24 +203,39 @@ class UpdatePair:
 
 
 def build_update(net: CENet, step: StepSpec) -> UpdatePair:
-    """Construct P'/F' over the relevant places of ``step``."""
+    """Construct P' and F' over the relevant places of ``step``.
+
+    This states the step semantics once.  At each sub-marking ``m`` of
+    ``sbar`` the step draws transition ``t`` with probability rbar(m, t):
+    its weight under the independent semantics, enabled or not; under the
+    stochastic semantics, if ``t`` is enabled, its weight over the summed
+    weights of the transitions enabled at ``m``, else 0.  P' moves that
+    mass from ``m`` to the successor of ``t`` wherever ``t`` is enabled.
+    F' is diagonal: ``fail``'s weight plus the weights drawn while
+    disabled, or 1 where nothing is enabled under the stochastic semantics.
+    """
     rel = relevant_sets(net, step)
     ell = rel.ell
     size = 1 << ell
     idx = np.arange(size, dtype=np.int64)
+    enabled = {t: (idx & pre) == pre for t, (pre, _) in rel.masks.items()}
+    stochastic = step.semantics == STOCHASTIC
+    if stochastic:
+        denom = sum(step.weight(t) * en for t, en in enabled.items())
     rows, cols, vals = [], [], []
     fdiag = np.zeros(size)
-    for t in rel.tbar:
-        if t == FAIL:
-            fdiag += rel.rbar_all(FAIL)
-            continue
-        rb = rel.rbar_all(t)
-        en = rel.enabled_all(t)
-        tgt = rel.fire_all(t)
-        rows.append(tgt[en])
-        cols.append(idx[en])
-        vals.append(rb[en])
-        fdiag += rb * ~en
+    for t, (pre, post) in rel.masks.items():
+        en, w = enabled[t], step.weight(t)
+        src = idx[en]
+        rows.append((src & ~pre) | post)
+        cols.append(src)
+        if stochastic:
+            # where t is enabled its own weight is in denom, so denom > 0
+            vals.append(w / denom[en])
+        else:
+            vals.append(np.full(src.shape[0], w))
+            fdiag += w * ~en
+    fdiag += (denom == 0) if stochastic else step.weight(FAIL)
     rows, cols, vals = (np.concatenate(rows), np.concatenate(cols),
                         np.concatenate(vals))
     if not np.any(vals[rows != cols]):
@@ -287,7 +302,11 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
 
 def kept_places(net: MBN, keep: Iterable[str]) -> tuple[str, ...]:
     """The places of ``keep`` in net declaration order, once each; an
-    unknown place, or a network without a place map, raises MissingPlace."""
+    unknown place, or a network without a place map, raises MissingPlace,
+    and a bare string, not a sequence of names, raises ValidationError."""
+    if isinstance(keep, str):
+        raise ValidationError(
+            f"places must be a sequence of names, not {keep!r}")
     if net.places is None:
         raise MissingPlace("this MBN carries no place map")
     keep = set(keep)

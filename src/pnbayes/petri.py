@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from .bitmatrix import STOCH_EPS, bits_to_int, int_to_bits
 from .errors import (DegenerateStep, MissingPlace, NotEnabled,
                      ValidationError)
@@ -213,72 +211,33 @@ def r(net: CENet, step: StepSpec, m: Marking | str | int, t: str) -> float:
 
 
 class RelevantSets:
-    """The places and transitions a step can actually touch.
+    """The places and events a step can actually touch.
 
-    ``sbar`` lists the relevant places in net order, ``tbar`` the relevant
-    events (transitions with positive weight, plus ``fail`` whenever it can
-    be drawn).  ``rbar_all`` evaluates the step kernel on sub-markings
-    over ``sbar`` alone, which is sound because enabledness of every relevant
-    transition is determined by ``sbar``.
+    ``sbar`` lists the ``ell`` relevant places in net order, ``tbar`` the
+    relevant events: the transitions with positive weight, then ``fail``
+    whenever it can be drawn.  ``masks`` maps each relevant transition to
+    its pre- and post-set as bitmasks over sub-markings of ``sbar``
+    (``sbar[j]`` at bit ``ell-1-j``).  These places decide the enabledness
+    and firing of every relevant transition, so ``mbn.build_update`` builds
+    the step's update over their sub-markings alone.
     """
 
     def __init__(self, net: CENet, step: StepSpec):
-        self.net = net
-        self.step = step
         support = step.support(net)
         if not support:
             raise DegenerateStep("no transition has positive weight")
-        touched = set()
-        for name in support:
-            t = net.transition(name)
-            touched |= t.pre | t.post
+        trans = [net.transition(name) for name in support]
+        touched = set().union(*(t.pre | t.post for t in trans))
         self.sbar: tuple[str, ...] = tuple(
             p for p in net.places if p in touched)
         include_fail = (step.semantics == STOCHASTIC
                         or step.weight(FAIL) > 0)
         self.tbar: tuple[str, ...] = support + ((FAIL,) if include_fail else ())
         self.ell = len(self.sbar)
-        # sub-marking bit of sbar[j] sits at position ell-1-j (MSB-first)
         spos = {p: self.ell - 1 - j for j, p in enumerate(self.sbar)}
-        self._pre1 = {}
-        self._post1 = {}
-        for name in support:
-            t = net.transition(name)
-            self._pre1[name] = sum(1 << spos[p] for p in t.pre)
-            self._post1[name] = sum(1 << spos[p] for p in t.post)
-
-    def enabled_all(self, t: str) -> np.ndarray:
-        """Boolean enabledness of ``t`` over all 2^ell sub-markings."""
-        idx = np.arange(1 << self.ell, dtype=np.int64)
-        pre = self._pre1[t]
-        return (idx & pre) == pre
-
-    def fire_all(self, t: str) -> np.ndarray:
-        """Successor sub-marking of firing ``t`` from every sub-marking."""
-        idx = np.arange(1 << self.ell, dtype=np.int64)
-        return (idx & ~self._pre1[t]) | self._post1[t]
-
-    def rbar_all(self, t: str) -> np.ndarray:
-        """The column ``rbar(. , t)`` over all sub-markings as an array."""
-        size = 1 << self.ell
-        if self.step.semantics == INDEPENDENT:
-            if t == FAIL:
-                return np.full(size, self.step.weight(FAIL))
-            return np.full(size, self.step.weight(t) if t in self.tbar else 0.0)
-        denom = np.zeros(size)
-        for u in self.tbar:
-            if u == FAIL:
-                continue
-            denom += self.step.weight(u) * self.enabled_all(u)
-        if t == FAIL:
-            return (denom == 0).astype(np.float64)
-        if t not in self.tbar:
-            return np.zeros(size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            col = np.where(denom > 0,
-                           self.step.weight(t) * self.enabled_all(t) / denom,
-                           0.0)
-        return col
+        self.masks: dict[str, tuple[int, int]] = {
+            t.name: (sum(1 << spos[p] for p in t.pre),
+                     sum(1 << spos[p] for p in t.post)) for t in trans}
 
 
 def relevant_sets(net: CENet, step: StepSpec) -> RelevantSets:

@@ -124,7 +124,11 @@ class Posterior:
         """Each place's posterior marginal, normalized, keyed by place:
         ``places`` in the given order, or every place of the net.  One
         ``marginal`` query per place, so all but the posterior's first query
-        read its summary (see the class docstring)."""
+        read its summary (see the class docstring).  A bare string raises
+        ValidationError, as in ``marginal``."""
+        if isinstance(places, str):
+            raise ValidationError(
+                f"places must be a sequence of names, not {places!r}")
         asked = self.net.places if places is None else places
         return {p: self.marginal([p]) for p in asked}
 
@@ -173,10 +177,23 @@ def dense_posterior(trace: ObservationTrace,
 
 # -- trace files ---------------------------------------------------------------
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{what} must be a number, got {value!r}") from None
+
+
 def parse_step(doc: Mapping) -> tuple[StepSpec, str]:
-    if "weights" not in doc or "obs" not in doc:
-        raise ValidationError("each step needs 'weights' and 'obs'")
-    weights = {str(t): float(w) for t, w in doc["weights"].items()}
+    if not isinstance(doc, Mapping) or "weights" not in doc \
+            or "obs" not in doc:
+        raise ValidationError(
+            "each step must be an object with 'weights' and 'obs'")
+    if not isinstance(doc["weights"], Mapping):
+        raise ValidationError("step 'weights' must be an object")
+    weights = {str(t): _number(w, f"weight of {t!r}")
+               for t, w in doc["weights"].items()}
     step = StepSpec(str(doc.get("semantics", "independent")), weights)
     obs = str(doc["obs"])
     if obs not in OBSERVATIONS:
@@ -188,10 +205,13 @@ def parse_prior(doc: Mapping, net: CENet) -> PriorSpec:
     if not isinstance(doc, Mapping):
         raise ValidationError("prior must be an object")
     if set(doc) == {"joint"}:
-        values = [float(v) for v in doc["joint"]]
+        if not isinstance(doc["joint"], list):
+            raise ValidationError("'joint' prior must be a list")
+        values = [_number(v, "'joint' prior entry") for v in doc["joint"]]
         # joint vectors are listed in descending bitstring order, like dumps
         return PriorSpec(joint=parse_vector(net.width, values))
-    marginals = tuple((str(p), float(q)) for p, q in doc.items())
+    marginals = tuple((str(p), _number(q, f"prior for {p!r}"))
+                      for p, q in doc.items())
     for p, q in marginals:
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"prior for {p!r} outside [0, 1]: {q}")
@@ -205,9 +225,13 @@ def parse_prior(doc: Mapping, net: CENet) -> PriorSpec:
 
 
 def parse_trace(doc: Mapping, base: Path | None = None) -> ObservationTrace:
+    if not isinstance(doc, Mapping):
+        raise ValidationError("trace must be an object")
     for key in ("net", "prior", "steps"):
         if key not in doc:
             raise ValidationError(f"trace is missing {key!r}")
+    if not isinstance(doc["steps"], list):
+        raise ValidationError("trace 'steps' must be a list")
     spec = doc["net"]
     if isinstance(spec, str):
         path = Path(spec)

@@ -218,14 +218,22 @@ def test_inconsistent_evidence_exit_code(tmp_path, capsys):
 
 
 def test_validation_exit_code(tmp_path, capsys):
-    doc = {
-        "net": net_to_json(nets.gossip_net()),
-        "prior": {"K1": 0.5},  # incomplete
-        "steps": [],
-    }
-    path = write_net(tmp_path, doc, "trace.json")
-    assert main(["query", path, "--mass"]) == 2
-    assert "error:" in capsys.readouterr().err
+    net = net_to_json(nets.gossip_net())
+    even = {p: 0.5 for p in nets.GOSSIP_PLACES}
+    step = {"weights": {"d1": 1.0}, "obs": "success"}
+    docs = [
+        {"net": net, "prior": {"K1": 0.5}, "steps": []},  # incomplete
+        {"net": net, "prior": {"joint": [1 / 16] * 16, "K1": 0.5},
+         "steps": []},
+        {"net": net, "prior": {**even, "K1": None}, "steps": []},
+        {"net": net, "prior": even,
+         "steps": [{**step, "weights": ["d1"]}]},
+        {"net": net, "prior": even, "steps": [3]},
+    ]
+    for doc in docs:
+        path = write_net(tmp_path, doc, "trace.json")
+        assert main(["query", path, "--mass"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_guard_exit_code(tmp_path, capsys):

@@ -10,7 +10,9 @@ from pnbayes.errors import MissingPlace, TooLarge, ValidationError
 from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          is_obn, prior_independent, prior_joint, prior_point,
                          terminate, uniform_prior, validate_mbn)
-from pnbayes.petri import CENet, StepSpec
+from pnbayes.petri import CENet, StepSpec, Transition
+from pnbayes.randnet import random_net, random_step
+from pnbayes.reason import PriorSpec
 
 import reference_nets as nets
 
@@ -131,15 +133,29 @@ def test_attach_update_repoints_wires(gossip_net, gossip_step):
         attach_update(prior, up, "sideways")
 
 
-def test_attached_update_matches_dense_replay(gossip_net, gossip_step):
-    prior = uniform_prior(gossip_net)
-    up = build_update(gossip_net, gossip_step)
-    for obs in ("success", "failure"):
-        posterior = attach_update(prior, up, obs)
-        joint = as_vector(eval_naive(posterior))
-        ref = replay_trace(gossip_net, ProbVector.uniform(4),
-                           [(gossip_step, obs)])
-        assert np.allclose(joint.data, ref.data, atol=1e-12)
+def test_attached_update_matches_dense_replay(gossip_net, gossip_step, rng):
+    cases = [(gossip_net, gossip_step)]
+    # random nets of both semantics, each with a transition that touches no
+    # place, and a step drawing only it or fail: an update over no places
+    for semantics in ("independent", "stochastic"):
+        for _ in range(6):
+            drawn = random_net(rng, int(rng.integers(2, 7)),
+                               int(rng.integers(2, 8)))
+            net = CENet(drawn.places, drawn.transitions + (
+                Transition("noise", (), ()),))
+            noise = float(rng.uniform(0.1, 0.9))
+            cases += [(net, random_step(rng, net, semantics)),
+                      (net, StepSpec("independent",
+                                     {"noise": noise, "fail": 1 - noise}))]
+    for net, step in cases:
+        prior = PriorSpec(marginals=tuple(
+            (p, float(rng.uniform(0.2, 0.8))) for p in net.places))
+        up = build_update(net, step)
+        for obs in ("success", "failure"):
+            posterior = attach_update(prior.as_mbn(net), up, obs)
+            joint = as_vector(eval_naive(posterior))
+            ref = replay_trace(net, prior.as_vector(net), [(step, obs)])
+            assert np.allclose(joint.data, ref.data, rtol=0.0, atol=1e-12)
 
 
 def test_terminate_marginalizes(gossip_net, gossip_step):

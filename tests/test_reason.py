@@ -69,6 +69,27 @@ def test_posterior_marginal_keeps_net_order():
         posterior.marginal(["K9"])
 
 
+def test_a_bare_string_of_places_raises():
+    posterior = run(nets.gossip_trace())
+    for ask in (posterior.marginal, posterior.query_stats,
+                posterior.marginals):
+        with pytest.raises(ValidationError, match="'K1'"):
+            ask("K1")
+    with pytest.raises(ValidationError, match="'K3'"):
+        posterior.query_stats("K3")
+    with pytest.raises(ValidationError, match="'K3'"):
+        terminate(posterior.mbn, "K3")
+    assert posterior.marginal(["K3"]).entry(1) == pytest.approx(5 / 8)
+    # with single-letter places, "ab" must not be read as the pair (a, b)
+    pair = CENet(("a", "b"), (("t", ("a",), ("b",)),))
+    prior = PriorSpec(marginals=(("a", 0.5), ("b", 0.5)))
+    posterior = run(ObservationTrace(pair, prior, ()))
+    for ask in (posterior.marginal, posterior.marginals):
+        with pytest.raises(ValidationError, match="'ab'"):
+            ask("ab")
+    assert posterior.marginal(["a", "b"]).arity == 2
+
+
 def test_posterior_joint_matches_dense(rng):
     for k in range(6):
         trace = random_trace(rng, places=6, transitions=8, steps=4,

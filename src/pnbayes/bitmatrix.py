@@ -239,9 +239,10 @@ class ProbVector:
         if data.shape != (1 << self.arity,):
             raise InvalidArity(
                 f"vector length {data.shape} does not match arity {arity}")
-        if data.size and (float(np.min(data)) < -CONSTRUCT_EPS
-                          or float(np.max(data)) > 1 + CONSTRUCT_EPS):
-            raise InvalidArity("entries outside [0, 1]")
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not np.all((data >= -CONSTRUCT_EPS)
+                      & (data <= 1 + CONSTRUCT_EPS)):
+            raise InvalidArity("entries not finite or outside [0, 1]")
         if float(data.sum()) > 1 + CONSTRUCT_EPS:
             raise InvalidArity(f"mass {float(data.sum())} exceeds 1")
         data.flags.writeable = False

@@ -21,8 +21,8 @@ request.
 Preparation comes in two halves.  The base (``_Base``) depends only on
 the network: the merged wire classes, the pins, the classes some node
 reads, and each node's factor over every target that is read or is an
-output, or its sparse matrix over the same targets when a grouped step
-contracts it.  Both are built from one reader of the node's matrix
+output, or its sparse matrix over a query's live targets when a grouped
+step contracts it.  Both are built from one reader of the node's matrix
 entries.  A query derives its problem from the base cheaply: it sums the
 outputs it drops out of their factors and picks the nodes to keep as
 matrices.
@@ -44,13 +44,14 @@ marginal, mass or joint query on the network plan over the summary factors
 alone, within BULK_NODE_BITS wires.  The first query keeps its plan, so a
 network asked once pays nothing for the summary.
 
-Nodes whose factor would not fit in memory (sparse update matrices over
-many wires) are never tabulated.  The scheduler keeps them as matrices and
-contracts each in a single grouped step: the dense factors touching its
-input wires are joined, reshaped into a block per input assignment, and
-pushed through the matrix as one sparse-times-dense product.  Everything
-below the size threshold runs through the ordinary one-wire-at-a-time
-eliminator.
+Nodes whose factor would span more than BULK_NODE_BITS wires (sparse
+update matrices over many places) are never tabulated, and neither is a
+plan wider than that.  The scheduler then keeps the wide nodes as
+matrices and contracts each in a single grouped step: the dense factors
+touching its input wires are joined, reshaped into a block per input
+assignment, and pushed through the matrix as one sparse-times-dense
+product.  Everything within the limit runs through the ordinary
+one-wire-at-a-time eliminator.
 """
 from __future__ import annotations
 
@@ -73,7 +74,8 @@ from .mbn import MBN, kept_places
 POINT_EPS = 1e-12
 MAX_FACTOR_BITS = kernels.MAX_CONTRACT_BITS
 # node factors over more live wires than this are never tabulated; they stay
-# sparse matrices and are contracted by one grouped step each
+# sparse matrices and are contracted by one grouped step each.  A plan, and
+# a summary's plan, wider than this is not run over tables either
 BULK_NODE_BITS = 20
 # once a run escalates to grouped contraction, every node over this many live
 # wires goes the grouped route, so the pool keeps only small tables and the
@@ -433,11 +435,12 @@ class _Base:
     It holds the merged diagonal wire classes, the point-mass pins, the
     classes some node reads, and each node's factor, or its sparse matrix
     for a grouped step, once a query first asks for it.  A ``query`` base
-    pins point masses, and its factors and matrices span the node's targets
-    that are read or are outputs of the network.  A query that drops an
-    output sums it out of its single producing factor, which is what
-    folding it at construction would give; a grouped step keeps it in its
-    result, where it is confined and summed out next.  Without ``query``
+    pins point masses, and its factors span the node's targets that are
+    read or are outputs of the network.  A query that drops an output sums
+    it out of its single producing factor, which is what folding it at
+    construction would give.  A matrix spans the targets live in the query
+    that asks for it, one per set of them (``matrix``), so a dropped output
+    is summed out inside it, as on the terminated network.  Without ``query``
     (runs over an explicit order) nothing is pinned or folded.  A node
     whose base factor would span more than BULK_NODE_BITS wires is not
     kept; each query that needs its table builds its own.
@@ -471,7 +474,7 @@ class _Base:
             zero, read = False, set()
             nodes: dict[int, _Node] = {}
             tables: dict[int, Factor] = {}
-            matrices: dict[int, _Grouped] = {}
+            matrices: dict[tuple[int, tuple[bool, ...]], _Grouped] = {}
             summary: tuple[Factor, ...] = ()
         else:
             first, fresh = parent.graph.node_count, []
@@ -652,13 +655,18 @@ class _Base:
         wires = tuple(w for a, w in enumerate(full.wires) if a not in dead)
         return Factor(wires, table)
 
-    def matrix(self, index: int) -> _Grouped:
-        """Node ``index``'s matrix for a grouped step, over the targets
-        that are read or are outputs of the network."""
-        got = self._matrices.get(index)
+    def matrix(self, index: int, live: tuple[bool, ...]) -> _Grouped:
+        """Node ``index``'s matrix for a grouped step, over its ``live``
+        targets: those the query's factors read or its outputs are, so a
+        target nobody reads is summed out inside the matrix, as on the
+        network terminated at the query's places.  Cached per
+        ``(index, live)``."""
+        key = (index, live)
+        got = self._matrices.get(key)
         if got is None:
-            got = _node_matrix(self.nodes[index], self.pinned)
-            self._matrices[index] = got
+            got = _node_matrix(replace(self.nodes[index], live=live),
+                               self.pinned)
+            self._matrices[key] = got
         return got
 
 
@@ -879,7 +887,7 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
     # a grouped step sums out every input at once, so it must own them:
     # nodes reading external wires or wires another oversized node also
     # reads fall back to a table (the factor guard rules on feasibility)
-    grouped: list[_Node] = []
+    grouped: list[tuple[_Node, tuple[bool, ...]]] = []
     demoted: list[Factor] = []
     taken: set[Wire] = set()
     for index, live in problem.lazy:
@@ -889,18 +897,18 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
             demoted.append(base.factor(index, live))
             continue
         taken |= ins
-        grouped.append(node)
+        grouped.append((node, live))
     factors = problem.factors() + demoted
     for f in factors:
         stats.track(f.size)
     eliminated: list[Wire] = []
-    for i, node in enumerate(grouped):
+    for i, (node, live) in enumerate(grouped):
         protected = set(external)
-        for later in grouped[i:]:
-            protected.update(later.scope(pinned))
+        for later, later_live in grouped[i:]:
+            protected.update(later.scope(pinned, later_live))
         factors = _sweep_confined(factors, protected, eliminated)
-        factors, consumed = _apply_lazy(base.matrix(node.index), factors,
-                                        stats)
+        factors, consumed = _apply_lazy(base.matrix(node.index, live),
+                                        factors, stats)
         eliminated.extend(consumed)
     factors = _sweep_confined(factors, external, eliminated)
     done = set(eliminated)
@@ -1013,15 +1021,17 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     width.  ``stats.summarized`` says whether the plan ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
-    never tabulated.  When such a node exists, or when no tabulated
-    min-degree run would fit the factor guard, the run escalates: every
-    node over GROUP_NODE_BITS live wires is kept as a sparse matrix and
-    contracted in one grouped step, in wiring order.  The escalated problem
-    is derived from the same base, so escalating prepares nothing twice,
-    and no table is built before the route is chosen.  The returned order
-    then lists the wires in the sequence actually summed out and reports
-    the realized width (the widest table the run produced).  Both
-    thresholds are read when the call starts.
+    never tabulated.  When such a node exists, or when the min-degree plan
+    over the tabulated factors is wider than BULK_NODE_BITS (the limit of
+    node tables and of summaries alike), the run escalates: every node
+    over GROUP_NODE_BITS live wires is kept as a sparse matrix over the
+    query's live targets and contracted in one grouped step, in wiring
+    order.  The escalated problem is derived from the same base, so
+    escalating prepares nothing twice, and no table is built before the
+    route is chosen.  The returned order then lists the wires in the
+    sequence actually summed out and reports the realized width (the
+    widest table the run produced).  Both thresholds are read when the
+    call starts.
     """
     out = net.graph.out if places is None else tuple(
         net.place_wire(p) for p in kept_places(net, places))
@@ -1032,9 +1042,8 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     if not problem.lazy:
         plan = _greedy_order(problem.vertices(), problem.scopes,
                              problem.internal)
-        # width counts a factor's wires after the sum-out; the contraction
-        # in flight holds one more, so a plan at the guard must escalate
-        if plan.width < MAX_FACTOR_BITS:
+        # node tables and summaries stop at the same width
+        if plan.width <= BULK_NODE_BITS:
             left = _run(problem.factors(), plan.wires, stats)
             return _combine(problem, left), plan, stats
     problem = base.problem(out, GROUP_NODE_BITS)

@@ -9,8 +9,11 @@ serves as the oracle for the elimination engine.
 When an MBN represents a belief over markings it carries ``places``: the
 net's places in declaration order, place ``i`` owning output port ``i``.
 Observation updates attach one fresh node per step whose sources are the
-current wires of the relevant places, so the ``P' (x) Id`` structure of the
-update never needs explicit permutation or identity nodes.
+current wires of the places it varies on, so the ``P' (x) Id`` structure
+of the update never needs explicit permutation or identity nodes.  A
+success node reads the step's relevant places; a failure node reads only
+the pre-places of the step's support, since a failure says nothing but
+that no drawn transition was enabled (context-specific independence).
 
 A network also carries its query preparation (``eliminate._Base``), built
 by its first prepared query.  Until then, a network returned by
@@ -190,12 +193,20 @@ def uniform_prior(net: CENet) -> MBN:
 
 @dataclass(frozen=True)
 class UpdatePair:
-    """The success matrix P' and failure matrix F' of one step, restricted
-    to the relevant places ``sbar``."""
+    """The success matrix P' over the relevant places ``sbar`` and the
+    failure matrix F' over ``fail_places``, the pre-places of the step's
+    support (in ``sbar`` order).
+
+    A failure says only that no drawn transition was enabled, and
+    enabledness reads the pre-places alone, so F' is constant along every
+    other place of ``sbar``: padding F' with the identity there gives the
+    failure matrix over all of ``sbar``.
+    """
 
     pmat: TypedMatrix
     fmat: TypedMatrix
     sbar: tuple[str, ...]
+    fail_places: tuple[str, ...]
 
     @property
     def ell(self) -> int:
@@ -203,7 +214,8 @@ class UpdatePair:
 
 
 def build_update(net: CENet, step: StepSpec) -> UpdatePair:
-    """Construct P' and F' over the relevant places of ``step``.
+    """Construct P' over the relevant places of ``step`` and F' over the
+    pre-places of its support.
 
     This states the step semantics once.  At each sub-marking ``m`` of
     ``sbar`` the step draws transition ``t`` with probability rbar(m, t):
@@ -211,8 +223,9 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
     stochastic semantics, if ``t`` is enabled, its weight over the summed
     weights of the transitions enabled at ``m``, else 0.  P' moves that
     mass from ``m`` to the successor of ``t`` wherever ``t`` is enabled.
-    F' is diagonal: ``fail``'s weight plus the weights drawn while
-    disabled, or 1 where nothing is enabled under the stochastic semantics.
+    F' is diagonal over the sub-markings of ``fail_places`` alone:
+    ``fail``'s weight plus the weights drawn while disabled, or 1 where
+    nothing is enabled under the stochastic semantics.
     """
     rel = relevant_sets(net, step)
     ell = rel.ell
@@ -223,7 +236,6 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
     if stochastic:
         denom = sum(step.weight(t) * en for t, en in enabled.items())
     rows, cols, vals = [], [], []
-    fdiag = np.zeros(size)
     for t, (pre, post) in rel.masks.items():
         en, w = enabled[t], step.weight(t)
         src = idx[en]
@@ -234,8 +246,6 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
             vals.append(w / denom[en])
         else:
             vals.append(np.full(src.shape[0], w))
-            fdiag += w * ~en
-    fdiag += (denom == 0) if stochastic else step.weight(FAIL)
     rows, cols, vals = (np.concatenate(rows), np.concatenate(cols),
                         np.concatenate(vals))
     if not np.any(vals[rows != cols]):
@@ -249,8 +259,23 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
     else:
         mat = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
         pmat = _finalize_sparse(mat, ell, ell)
-    fmat = TypedMatrix.diagonal(fdiag)
-    return UpdatePair(pmat, fmat, rel.sbar)
+    # F' reads only the pre-places.  The sub-markings of sbar that clear
+    # every other place stand for theirs, one each and in the same order.
+    union = 0
+    for pre, _ in rel.masks.values():
+        union |= pre
+    sub = idx[(idx & ~union) == 0]
+    if stochastic:
+        fdiag = denom[sub] == 0
+    else:
+        fdiag = step.weight(FAIL) + sum(step.weight(t) * ~en[sub]
+                                        for t, en in enabled.items())
+    fail_places = tuple(p for j, p in enumerate(rel.sbar)
+                        if union >> (ell - 1 - j) & 1)
+    # sums of the step's validated weights, so within [0, 1] unchecked
+    k = len(fail_places)
+    fmat = TypedMatrix(k, k, diag=fdiag, check=False)
+    return UpdatePair(pmat, fmat, rel.sbar, fail_places)
 
 
 def _fresh_update_name(net: MBN, obs: str, step_index: int | None) -> str:
@@ -265,11 +290,14 @@ def _fresh_update_name(net: MBN, obs: str, step_index: int | None) -> str:
 
 def attach_update(net: MBN, up: UpdatePair, obs: str,
                   step_index: int | None = None) -> MBN:
-    """Append one update node reading the relevant places' current wires.
+    """Append one update node reading the current wires of the places it
+    varies on.
 
-    On success the node evaluates to P', on failure to the diagonal F'.
-    The relevant places' ports move to the new node; everything else keeps
-    its wire, which realizes the padded update without identity nodes.
+    On success the node evaluates to P' and reads the relevant places
+    ``sbar``; on failure it evaluates to the diagonal F' and reads only
+    ``fail_places``, a 0-ary node when the support has no pre-places.
+    Those places' ports move to the new node; every other place keeps its
+    wire, which realizes the padded update without identity nodes.
 
     The result holds the query preparation ``net`` holds, copying nothing.
     Its first prepared query extends that preparation by the new node, so
@@ -283,11 +311,15 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
         raise ValidationError(f"unknown observation {obs!r}")
     if net.places is None:
         raise MissingPlace("cannot attach an update without a place map")
-    sources = tuple(net.place_wire(p) for p in up.sbar)
+    if obs == SUCCESS:
+        places, mat = up.sbar, up.pmat
+    else:
+        places, mat = up.fail_places, up.fmat
+    sources = tuple(net.place_wire(p) for p in places)
     name = _fresh_update_name(net, obs, step_index)
     v = net.graph.node_count
-    gen = Generator(name, up.ell, up.ell)
-    port_of = {p: i + 1 for i, p in enumerate(up.sbar)}
+    gen = Generator(name, len(places), len(places))
+    port_of = {p: i + 1 for i, p in enumerate(places)}
     new_out = tuple(
         Wire(v, port_of[p]) if p in port_of else w
         for p, w in zip(net.places, net.graph.out))
@@ -296,7 +328,7 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
                            net.graph.sources + (sources,),
                            new_out)
     ev = dict(net.ev)
-    ev[name] = up.pmat if obs == SUCCESS else up.fmat
+    ev[name] = mat
     return MBN(graph, ev, net.places, net.preparation)
 
 

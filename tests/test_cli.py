@@ -225,6 +225,7 @@ def test_validation_exit_code(tmp_path, capsys):
         {"net": net, "prior": {"K1": 0.5}, "steps": []},  # incomplete
         {"net": net, "prior": {"joint": [1 / 16] * 16, "K1": 0.5},
          "steps": []},
+        {"net": net, "prior": {"joint": ["nan"] * 16}, "steps": []},
         {"net": net, "prior": {**even, "K1": None}, "steps": []},
         {"net": net, "prior": even,
          "steps": [{**step, "weights": ["d1"]}]},

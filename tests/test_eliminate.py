@@ -19,7 +19,7 @@ from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          prior_independent, prior_point, terminate,
                          uniform_prior)
 from pnbayes.randnet import random_trace
-from pnbayes.reason import run
+from pnbayes.reason import ObservationTrace, dense_posterior, run
 
 import reference_nets as nets
 
@@ -197,13 +197,47 @@ def test_scheduled_reports_realized_width(gossip_net, gossip_step):
         f.size for f in initial_factors(posterior, merge_diagonal=True))
 
 
-@pytest.mark.parametrize("escalating", [False, True])
-def test_scheduled_eliminate_asks_places_of_the_network(escalating,
+def test_a_plan_wider_than_the_tabulation_limit_escalates(monkeypatch):
+    """A plan wider than BULK_NODE_BITS takes the grouped route even when
+    every node would fit a table, and agrees with the dense engine."""
+    trace = random_trace(np.random.default_rng(0), places=10, transitions=12,
+                         steps=12, max_pre=2, max_post=2, max_active=2)
+    _, plan, stats = scheduled_eliminate(run(trace).mbn)
+    assert not stats.grouped_steps
+    net = run(trace).mbn
+    limit = plan.width - 2
+    monkeypatch.setattr(eliminate, "BULK_NODE_BITS", limit)
+    mat, _, stats = scheduled_eliminate(net)
+    base = net.preparation
+    assert max(len(node.scope(base.pinned))
+               for node in base.nodes.values()) <= limit
+    assert stats.grouped_steps
+    joint, dense = mat.to_dense().ravel(), dense_posterior(trace).data
+    assert joint.sum() == pytest.approx(dense.sum(), rel=1e-6)
+    assert np.allclose(joint / joint.sum(), dense / dense.sum(), rtol=0.0,
+                       atol=1e-6)
+
+
+def _cut_after_last_success(trace: ObservationTrace) -> ObservationTrace:
+    last = max(k for k, (_, obs) in enumerate(trace.steps)
+               if obs == "success")
+    return ObservationTrace(trace.net, trace.prior, trace.steps[:last + 1])
+
+
+@pytest.mark.parametrize("escalating, cut", [
+    (False, None), (True, None), (True, 0), (True, 1), (True, 3)],
+    ids=["False", "True", "cut0", "cut1", "cut3"])
+def test_scheduled_eliminate_asks_places_of_the_network(escalating, cut,
                                                         monkeypatch):
     """Asking places of a network answers and plans as eliminating the
     network terminated at them does, a second call reuses the network's
-    base, and the places are checked before any base is built."""
-    if escalating:
+    base, and the places are checked before any base is built.  The cut
+    wide traces end on a success whose targets no failure node reads, so
+    a grouped matrix must sum the unasked ones out as termination does."""
+    if cut is not None:
+        trace = _cut_after_last_success(
+            nets.wide_trace(np.random.default_rng(cut)))
+    elif escalating:
         trace = nets.wide_trace(np.random.default_rng(0))
     else:
         trace = random_trace(np.random.default_rng(3), places=6,

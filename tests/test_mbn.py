@@ -99,13 +99,15 @@ def test_build_update_gossip_values(gossip_net, gossip_step):
 
 
 def test_update_pads_to_the_full_step(gossip_net, gossip_step):
-    # the compact update on S-bar, padded with the identity on K4,
-    # reproduces the dense step matrices exactly
+    # the compact updates, padded with the identity on the places they do
+    # not read (K4 for P' over S-bar; K3 and K4 for F' over the pre-places
+    # K1, K2), reproduce the dense step matrices exactly
     up = build_update(gossip_net, gossip_step)
     P = build_P(gossip_net, gossip_step)
     F = build_F(gossip_net, gossip_step)
+    assert up.fail_places == ("K1", "K2")
     assert tensor(up.pmat, identity(1)).allclose(P, atol=1e-12)
-    assert tensor(up.fmat, identity(1)).allclose(F, atol=1e-12)
+    assert tensor(up.fmat, identity(2)).allclose(F, atol=1e-12)
 
 
 def test_update_is_diagonal_when_marking_is_preserved():
@@ -133,7 +135,7 @@ def test_attach_update_repoints_wires(gossip_net, gossip_step):
         attach_update(prior, up, "sideways")
 
 
-def test_attached_update_matches_dense_replay(gossip_net, gossip_step, rng):
+def _update_cases(gossip_net, gossip_step, rng):
     cases = [(gossip_net, gossip_step)]
     # random nets of both semantics, each with a transition that touches no
     # place, and a step drawing only it or fail: an update over no places
@@ -147,7 +149,11 @@ def test_attached_update_matches_dense_replay(gossip_net, gossip_step, rng):
             cases += [(net, random_step(rng, net, semantics)),
                       (net, StepSpec("independent",
                                      {"noise": noise, "fail": 1 - noise}))]
-    for net, step in cases:
+    return cases
+
+
+def test_attached_update_matches_dense_replay(gossip_net, gossip_step, rng):
+    for net, step in _update_cases(gossip_net, gossip_step, rng):
         prior = PriorSpec(marginals=tuple(
             (p, float(rng.uniform(0.2, 0.8))) for p in net.places))
         up = build_update(net, step)
@@ -156,6 +162,33 @@ def test_attached_update_matches_dense_replay(gossip_net, gossip_step, rng):
             joint = as_vector(eval_naive(posterior))
             ref = replay_trace(net, prior.as_vector(net), [(step, obs)])
             assert np.allclose(joint.data, ref.data, rtol=0.0, atol=1e-12)
+
+
+def test_failure_node_reads_only_the_pre_places(gossip_net, gossip_step,
+                                               rng):
+    """F' spans the pre-places of the step's support, in S-bar order, and
+    a failure node moves only their wires."""
+    detector = (nets.detector_net(), nets.detector_step(0.1, 0.7))
+    assert build_update(gossip_net, gossip_step).fail_places == ("K1", "K2")
+    assert build_update(*detector).fail_places == ("I",)
+    for net, step in _update_cases(gossip_net, gossip_step, rng) + [detector]:
+        up = build_update(net, step)
+        pre = set().union(*(net.transition(t).pre
+                            for t in step.support(net)))
+        assert up.fail_places == tuple(p for p in up.sbar if p in pre)
+        assert up.fmat.is_diagonal
+        assert up.fmat.in_arity == len(up.fail_places)
+        prior = uniform_prior(net)
+        posterior = attach_update(prior, up, "failure")
+        v = prior.graph.node_count
+        assert posterior.graph.sources[v] == tuple(
+            prior.place_wire(p) for p in up.fail_places)
+        for p in net.places:
+            if p in pre:
+                port = up.fail_places.index(p) + 1
+                assert posterior.place_wire(p) == Wire(v, port)
+            else:
+                assert posterior.place_wire(p) == prior.place_wire(p)
 
 
 def test_terminate_marginalizes(gossip_net, gossip_step):

@@ -136,13 +136,17 @@ def test_run_rejects_unknown_observation():
 
 # -- queries sharing one posterior's preparation ------------------------------
 
-def _count_tabulations(monkeypatch) -> dict[tuple[str, int], int]:
-    """Count table and grouped-matrix constructions per node."""
-    counts: dict[tuple[str, int], int] = {}
+def _count_tabulations(monkeypatch, by_live: bool = False) -> dict:
+    """Count table and grouped-matrix constructions per node, or with
+    ``by_live`` per node and live targets: a grouped matrix is built over
+    a query's live targets, so one node may be built once for each set."""
+    counts: dict[tuple, int] = {}
 
     def counted(build):
         def wrapper(node, *args):
             key = (build.__name__, node.index)
+            if by_live:
+                key += (node.live,)
             counts[key] = counts.get(key, 0) + 1
             return build(node, *args)
         return wrapper
@@ -160,7 +164,8 @@ def _count_tabulations(monkeypatch) -> dict[tuple[str, int], int]:
 ], ids=["tabulated", "escalating"])
 def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
                                                    monkeypatch):
-    counts = _count_tabulations(monkeypatch)
+    # a grouped matrix is built once per node and set of live targets
+    counts = _count_tabulations(monkeypatch, by_live=bool(escalations))
     escalated = []
     run_hybrid = eliminate._run_hybrid
 

@@ -8,7 +8,8 @@ times each, so the file holds medians and quartiles per metric on both
 sides and the number of pairs in which the change read lower.
 
 Next to the runs it records the plan of every query of round 0 of each
-workload at seed 0: ``max_factor_wires``, ``contractions``, the order
+workload at seed 0: ``max_factor_wires``, ``contractions``,
+``grouped_steps``, whether it read a summary (``summarized``), the order
 width and the answer.  The perfbench per-layer counts are averaged over
 however many rounds a run reaches, so they cannot show a plan change;
 two BENCH files can be compared plan by plan instead.
@@ -126,7 +127,9 @@ def plans(checkout: Path) -> dict:
             queries.append({
                 "place": place, "value": value,
                 "max_factor_wires": stats.max_factor_wires,
-                "contractions": stats.contractions, "width": order.width})
+                "contractions": stats.contractions,
+                "grouped_steps": stats.grouped_steps,
+                "summarized": stats.summarized, "width": order.width})
         out[workload] = queries
     return out
 

@@ -117,11 +117,12 @@ class TypedMatrix:
     def _check_substochastic(self) -> None:
         values = self._diag if self._diag is not None else (
             self._dense if self._dense is not None else self._sparse.data)
-        if values.size:
-            lo, hi = float(np.min(values)), float(np.max(values))
-            if lo < -CONSTRUCT_EPS or hi > 1 + CONSTRUCT_EPS:
-                raise InvalidArity(
-                    f"entries outside [0, 1]: min {lo}, max {hi}")
+        # entrywise, so a NaN, which every comparison rejects, fails too
+        if not np.all((values >= -CONSTRUCT_EPS)
+                      & (values <= 1 + CONSTRUCT_EPS)):
+            raise InvalidArity(
+                f"entries not finite or outside [0, 1]: min "
+                f"{float(np.min(values))}, max {float(np.max(values))}")
         sums = self.column_sums()
         if sums.size and float(np.max(sums)) > 1 + CONSTRUCT_EPS:
             raise InvalidArity(

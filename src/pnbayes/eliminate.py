@@ -30,13 +30,15 @@ matrices.
 The base lives on the network (``MBN.preparation``), so every query on
 the network shares it.  A network from ``mbn.attach_update`` holds its
 parent's base until its first query, which extends it by the new node.
-Where that is exact and bounded, the parent's
-history is first summed out to its place wires (``_Base.summarized``): the
-new base holds the factors left over the parent's output classes and a
-record for the new node only, so a query plans and contracts about places
-plus one node's wires however long the trace.  Otherwise the new base takes
-the parent's node records over as they are, sharing their tables.  This is
-the interface (frontier) idea of filtering in dynamic Bayesian networks.
+The parent's history is first summed out to its place wires
+(``_Base.summarized``): the new base holds the factors left over the
+parent's output classes and a record for the new node only, so a query
+plans and contracts about places plus one node's wires however long the
+trace.  The summary is refused only when the parent has more than
+BULK_NODE_BITS unpinned output classes, when its point masses conflict, or
+when its elimination raises TooLarge; the new base then takes the parent's
+node records over as they are, sharing their tables.  This is the
+interface (frontier) idea of filtering in dynamic Bayesian networks.
 
 A network's second query sums the network itself out the same way, once:
 its base is replaced by its own summary, so that query and every later
@@ -49,9 +51,10 @@ update matrices over many places) are never tabulated, and neither is a
 plan wider than that.  The scheduler then keeps the wide nodes as
 matrices and contracts each in a single grouped step: the dense factors
 touching its input wires are joined, reshaped into a block per input
-assignment, and pushed through the matrix as one sparse-times-dense
-product.  Everything within the limit runs through the ordinary
-one-wire-at-a-time eliminator.
+assignment, and pushed through the matrix, kept in coordinate form, as
+one sparse-times-dense product.  Everything within the limit runs through
+the ordinary one-wire-at-a-time eliminator.  Queries and summaries choose
+between the two routes by one rule (``_eliminate``).
 """
 from __future__ import annotations
 
@@ -83,8 +86,10 @@ BULK_NODE_BITS = 20
 GROUP_NODE_BITS = 6
 
 # a node's matrix for a grouped step: (source wires, target wires, matrix
-# with rows over the targets and columns over the sources)
-_Grouped = tuple[tuple[Wire, ...], tuple[Wire, ...], sp.csr_matrix]
+# with rows over the targets and columns over the sources).  It stays in
+# coordinate form, duplicates and all: its one use, the product with a
+# dense block, sums them, and converting would cost more than the product
+_Grouped = tuple[tuple[Wire, ...], tuple[Wire, ...], sp.coo_matrix]
 
 
 # -- factors ------------------------------------------------------------------
@@ -360,14 +365,14 @@ def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
     """The node's matrix as rows over live targets, columns over sources.
 
     Dead targets are summed out and pinned wires sliced away, both by
-    accumulating coordinate duplicates; wires index bits in ascending
-    order on each side.
+    leaving coordinate duplicates for the product to sum; wires index bits
+    in ascending order on each side.
     """
     vals, sources, targets = _bit_streams(node)
     ins, cols, vals = _gather_positions(sources, vals, pinned)
     outs, rows, vals = _gather_positions(targets, vals, pinned)
     keep = vals != 0.0
-    reduced = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+    reduced = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                             shape=(1 << len(outs), 1 << len(ins)))
     return tuple(ins), tuple(outs), reduced
 
@@ -568,30 +573,33 @@ class _Base:
         """This network summed out to its inputs and unpinned output
         classes, as a base with no node records, for ``net`` to extend.
 
-        It is the problem of this network over all its outputs
-        (``problem``), eliminated by min-degree; the factors left are the
-        new summary.  It is taken only when it is exact for ``net`` (this
-        base is not zero, and ``net``'s new nodes read and its outputs are
-        only this network's inputs, outputs or new ports) and its plan is
-        at most BULK_NODE_BITS wide; otherwise the result is None, found
-        without planning when a node would be kept as a matrix.  The run is
-        charged to ``stats``.  Its factors come from ``problem.factors()``,
-        so a node table not built yet is built and kept in this base, as by
-        any query; nothing already in the base changes.  With ``net`` this
-        base's own network, the result answers every query on it.
+        It is the problem of this network over all its outputs, eliminated
+        by the route a query takes (``_eliminate``): min-degree over the
+        node tables, or the grouped route when a node is too wide to
+        tabulate or the plan is wider than BULK_NODE_BITS.  The factors
+        left are the new summary.  It is refused (None) only when it would
+        not be exact for ``net`` (this base is zero, or ``net``'s new nodes
+        read or its outputs are more than this network's inputs, outputs
+        and new ports), when the unpinned output classes number more than
+        BULK_NODE_BITS (found before any work), or when the run raises
+        TooLarge.  The run is charged to ``stats``.  Its node tables and
+        grouped matrices come from this base, so one not built yet is built
+        and kept in it, as by any query; nothing already in the base
+        changes.  With ``net`` this base's own network, the result answers
+        every query on it.
         """
         graph, rep = self.graph, self.rep
         shown = graph.inputs() + graph.out
         if self.zero or not self._knows(net, set(shown)):
             return None
-        problem = self.problem(graph.out, BULK_NODE_BITS)
-        if problem.lazy:
+        classes = {rep[w] for w in graph.out} - self.pinned.keys()
+        if len(classes) > BULK_NODE_BITS:
             return None
-        plan = _greedy_order(problem.vertices(), problem.scopes,
-                             problem.internal)
-        if plan.width > BULK_NODE_BITS:
+        try:
+            _, left, _ = _eliminate(self, graph.out, stats)
+        except TooLarge:
             return None
-        left = _absorb(_run(problem.factors(), plan.wires, stats))
+        left = _absorb(left)
         for f in left:
             f.table.flags.writeable = False
         base = copy.copy(self)
@@ -701,9 +709,10 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
 
     A network that holds its own base returns it; the first time after the
     query that built it, if the base still holds node records, it is first
-    replaced by its own summary (``summarized``, charged to ``stats``), so
-    the second and later queries plan over the summary factors alone.  The
-    summary is tried once per base.  One that holds another
+    replaced by its own summary (``summarized``, charged to ``stats``, by
+    grouped steps where a node is too wide to tabulate), so the second and
+    later queries plan over the summary factors alone.  The summary is
+    tried once per base.  One that holds another
     base, handed on by ``attach_update``, extends it by the new nodes when
     ``net`` starts with that base's network: on top of the held base's
     summary when ``summarized`` gives one (its elimination is charged to
@@ -778,17 +787,22 @@ def _run(factors: list[Factor], order: Sequence[Wire],
 
 def _absorb(factors: list[Factor]) -> list[Factor]:
     """Multiply each factor into a wider one holding all its wires, so no
-    factor left is covered by another; scalars fold into the first."""
+    factor left is covered by another; scalars fold into the first.  A
+    wide factor is joined once with all it covers, narrowest first, so
+    only the last product spans all its wires."""
     kept: list[Factor] = []
+    covered: list[list[Factor]] = []
     for f in sorted(factors, key=lambda f: -f.size):
         wires = set(f.wires)
         for k, g in enumerate(kept):
             if wires <= set(g.wires):
-                kept[k] = Factor(g.wires, _join([g, f], g.wires))
+                covered[k].append(f)
                 break
         else:
             kept.append(f)
-    return kept
+            covered.append([])
+    return [Factor(g.wires, _join(fs[::-1] + [g], g.wires)) if fs else g
+            for g, fs in zip(kept, covered)]
 
 
 def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
@@ -924,6 +938,35 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
     return factors, tuple(eliminated)
 
 
+def _eliminate(base: _Base, out: Sequence[Wire], stats: ElimStats
+               ) -> tuple[_Problem, list[Factor], ElimOrder]:
+    """The route rule of every query and summary: the problem of ``base``
+    with outputs ``out``, the factors its elimination leaves, and the
+    order.
+
+    Min-degree over the node tables when no node is too wide to tabulate
+    and the plan is at most BULK_NODE_BITS wide (the limit of node tables
+    and summaries alike).  Otherwise every node over GROUP_NODE_BITS live
+    wires is kept as a matrix and contracted in a grouped step
+    (``_run_hybrid``); the order then lists the wires in the sequence
+    actually summed out and reports the realized width, and a zero base
+    runs nothing.  Both problems come from the same base, so escalating
+    prepares nothing twice, and no table is built before the route is
+    chosen.
+    """
+    problem = base.problem(out, BULK_NODE_BITS)
+    if not problem.lazy:
+        plan = _greedy_order(problem.vertices(), problem.scopes,
+                             problem.internal)
+        if plan.width <= BULK_NODE_BITS:
+            return problem, _run(problem.factors(), plan.wires, stats), plan
+    problem = base.problem(out, GROUP_NODE_BITS)
+    if base.zero:
+        return problem, [], ElimOrder((), 0)
+    left, sequence = _run_hybrid(problem, stats)
+    return problem, left, ElimOrder(sequence, stats.max_factor_wires)
+
+
 def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
     n, m = problem.in_arity, problem.out_arity
     total_bits = n + m
@@ -1005,7 +1048,7 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     output when None, else the asked places in net order, each output
     outside them summed out).  It always folds dead outputs, merges
     diagonal wires and pins point masses, then eliminates the internal
-    wires by min-degree.
+    wires by the route rule of ``_eliminate``.
 
     The places are checked before anything is prepared: an unknown place,
     or places asked of a network without a place map, raises
@@ -1017,8 +1060,9 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     when it first sums the parent's history out to the place wires, or when
     a second call sums the network itself out, that elimination runs in
     this call and counts in the returned stats (``contractions``,
-    ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
-    width.  ``stats.summarized`` says whether the plan ran over a summary.
+    ``grouped_steps``, ``max_factor_wires``), so ``max_factor_wires`` may
+    exceed the order's width.  ``stats.summarized`` says whether the plan
+    ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when the min-degree plan
@@ -1026,31 +1070,17 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     node tables and of summaries alike), the run escalates: every node
     over GROUP_NODE_BITS live wires is kept as a sparse matrix over the
     query's live targets and contracted in one grouped step, in wiring
-    order.  The escalated problem is derived from the same base, so
-    escalating prepares nothing twice, and no table is built before the
-    route is chosen.  The returned order then lists the wires in the
-    sequence actually summed out and reports the realized width (the
-    widest table the run produced).  Both thresholds are read when the
-    call starts.
+    order.  The returned order then lists the wires in the sequence
+    actually summed out and reports the realized width (the widest table
+    the run produced).  A summary takes the same route.  Both thresholds
+    are read when the call starts.
     """
     out = net.graph.out if places is None else tuple(
         net.place_wire(p) for p in kept_places(net, places))
     stats = ElimStats()
     base = _query_base(net, stats)
     stats.summarized = bool(base.summary)
-    problem = base.problem(out, BULK_NODE_BITS)
-    if not problem.lazy:
-        plan = _greedy_order(problem.vertices(), problem.scopes,
-                             problem.internal)
-        # node tables and summaries stop at the same width
-        if plan.width <= BULK_NODE_BITS:
-            left = _run(problem.factors(), plan.wires, stats)
-            return _combine(problem, left), plan, stats
-    problem = base.problem(out, GROUP_NODE_BITS)
-    if base.zero:
-        return _combine(problem, []), ElimOrder((), 0), stats
-    left, sequence = _run_hybrid(problem, stats)
-    plan = ElimOrder(sequence, stats.max_factor_wires)
+    problem, left, plan = _eliminate(base, out, stats)
     return _combine(problem, left), plan, stats
 
 

@@ -303,9 +303,9 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     Its first prepared query extends that preparation by the new node, so
     an observer who queries after every step builds each node factor once.
     That query first sums the held network out to its place wires, unless
-    the summary would span more than ``eliminate.BULK_NODE_BITS`` wires or
-    the held network's point masses conflict; the new node then reads
-    summary factors over the places, not the whole history.
+    it has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes,
+    its point masses conflict or the summary raises TooLarge; the new node
+    then reads summary factors over the places, not the whole history.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")

@@ -12,19 +12,22 @@ Every query is one ``eliminate.scheduled_eliminate`` call on the
 posterior's network with the asked places, and all of them share one
 preparation, kept on the network (``MBN.preparation``) and freed with it:
 the first query builds the node factors, and the second sums the network
-out to its place wires once, so every later marginal, mass or joint query
-plans over that summary instead of the whole trace (where the summary
-would be too wide, they reuse the node factors).
+out to its place wires once, by grouped steps where a node is too wide to
+tabulate, so every later marginal, mass or joint query plans over that
+summary instead of the whole trace (on a net of more than
+``eliminate.BULK_NODE_BITS`` places, or where the summary raises
+TooLarge, they reuse the node factors).
 ``Posterior.marginals`` asks every place's marginal.  The preparation
 moves on with each step: ``Posterior.observe`` (like
 ``mbn.attach_update``, which it calls) hands it to the next network, whose
 first query sums the older history out to the place wires and adds the new
 node to that summary.  An observer who queries after every step thus
 builds each node factor once per trace, and a query costs about the same
-at step 20 as at step 1.  Where the summary would be too wide (a node over
-many places), or point masses conflict, the next network takes the older
-node records over instead.  ``run`` builds no preparation along the way,
-so the first query on its posterior plans over the whole trace.
+at step 20 as at step 1.  Where the summary is refused (more than
+``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
+TooLarge), the next network takes the older node records over instead.
+``run`` builds no preparation along the way, so the first query on its
+posterior plans over the whole trace.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -149,8 +152,10 @@ class Posterior:
         reusing this posterior's node factors and writing nothing into
         them, and adds that node to the summary; querying after every step
         thus builds each node factor once and keeps the query over about
-        places plus one node's wires.  Where the summary would be too wide,
-        it extends this posterior's preparation by the node instead.
+        places plus one node's wires.  Where the summary is refused (more
+        than ``eliminate.BULK_NODE_BITS`` places, conflicting point masses,
+        or TooLarge), it extends this posterior's preparation by the node
+        instead.
         """
         up = build_update(self.net, step)
         return Posterior(self.net, attach_update(self.mbn, up, obs))

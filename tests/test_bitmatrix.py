@@ -48,6 +48,17 @@ def test_construction_guards():
         TypedMatrix(1, 2, diag=np.ones(2))  # diagonal must be square
 
 
+def test_nan_entries_are_rejected_in_every_layout():
+    import scipy.sparse as sp
+    for layout in (dict(dense=np.array([[np.nan], [np.nan]])),
+                   dict(diag=np.array([np.nan, 0.5])),
+                   dict(sparse=sp.csr_matrix(np.array([[np.nan, 0.0],
+                                                       [0.0, 0.5]])))):
+        n = 0 if "dense" in layout else 1
+        with pytest.raises(InvalidArity, match="not finite"):
+            TypedMatrix(n, 1, **layout)
+
+
 def test_entry_is_output_given_input():
     # M(x|y) sits at row x, column y
     mat = TypedMatrix.dense([[0.1, 0.4], [0.9, 0.6]])

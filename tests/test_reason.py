@@ -160,7 +160,7 @@ def _count_tabulations(monkeypatch, by_live: bool = False) -> dict:
 @pytest.mark.parametrize("trace, escalations", [
     (random_trace(np.random.default_rng(5), places=10, transitions=12,
                   steps=8), 0),
-    (nets.wide_trace(np.random.default_rng(0)), 19),
+    (nets.wide_trace(np.random.default_rng(0)), 2),
 ], ids=["tabulated", "escalating"])
 def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
                                                    monkeypatch):
@@ -518,13 +518,38 @@ def _sweep_trace():
 
 
 @pytest.mark.parametrize("start", [0, 1])
-def test_a_summary_too_wide_falls_back_to_records(start):
+def test_a_sweep_chain_summarizes_at_every_step(start):
     trace = _sweep_trace()
     posterior = run(ObservationTrace(trace.net, trace.prior,
                                      trace.steps[:start]))
     posterior.mass()
     online = []
     for n, (step, obs) in enumerate(trace.steps[start:], start + 1):
+        posterior = posterior.observe(step, obs)
+        posterior.mass()
+        base = posterior.mbn.preparation
+        # the parent is summed out to the places, through grouped steps
+        # past the sweep's 24 wires; this step's node is the one record
+        assert base.summary
+        assert list(base.nodes) == [len(trace.net.places) + n - 1]
+        online.append((n, posterior))
+    for n, posterior in online:
+        for asked in (["p0"], ["p11"], ()):
+            _assert_agrees_with_unprepared(posterior, asked, rtol=1e-12)
+        _assert_matches_dense(posterior, trace, n, trace.net.places)
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_a_summary_too_wide_falls_back_to_records(start, monkeypatch):
+    trace = _sweep_trace()
+    posterior = run(ObservationTrace(trace.net, trace.prior,
+                                     trace.steps[:start]))
+    posterior.mass()
+    online = []
+    for n, (step, obs) in enumerate(trace.steps[start:], start + 1):
+        if n == 2:
+            # from here on a summary over the 12 places is refused
+            monkeypatch.setattr(eliminate, "BULK_NODE_BITS", 11)
         held = posterior.mbn.preparation
         posterior = posterior.observe(step, obs)
         posterior.mass()
@@ -533,8 +558,8 @@ def test_a_summary_too_wide_falls_back_to_records(start):
             # the prior summarizes; the sweep's node is the new record
             assert list(base.nodes) == [len(trace.net.places)]
         else:
-            # a summary would span the sweep's 24 wires: every older
-            # record is taken over instead
+            # a summary would span more than BULK_NODE_BITS wires: every
+            # older record is taken over instead
             assert all(base.nodes[index] is node
                        for index, node in held.nodes.items())
         online.append((n, posterior))
@@ -549,6 +574,28 @@ def test_a_summary_too_wide_falls_back_to_records(start):
         if full:
             _assert_fresh_base(posterior.mbn.preparation, posterior.mbn)
         _assert_matches_dense(posterior, trace, n, trace.net.places)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_an_observe_chain_summarizes_past_a_wide_node(seed):
+    trace = nets.wide_trace(np.random.default_rng(seed))
+    places = trace.net.places
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    posterior.mass()
+    for n, (step, obs) in enumerate(trace.steps, 1):
+        posterior = posterior.observe(step, obs)
+        mass = posterior.mass()
+        # the parent is summed out to the places, a success node too wide
+        # to tabulate included; this step's node is the one record
+        base = posterior.mbn.preparation
+        assert base.summary and len(base.nodes) == 1
+        place = places[n % len(places)]
+        raw, _, _ = posterior.query_stats([place])
+        want = run(ObservationTrace(trace.net, trace.prior, trace.steps[:n]))
+        assert mass == pytest.approx(want.mass(), rel=1e-12, abs=0.0)
+        want_raw, _, _ = want.query_stats([place])
+        assert np.allclose(raw.data, want_raw.data, rtol=1e-12, atol=0.0)
+        _assert_matches_dense(posterior, trace, n, [place])
 
 
 def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
@@ -649,10 +696,10 @@ def test_observe_on_a_summarized_parent_matches_run(rng):
                 assert got.allclose(want.marginal([place]), atol=1e-12)
 
 
-def test_a_wide_posterior_tries_its_summary_once_without_planning(
+def test_a_wide_posterior_summarizes_once_through_the_grouped_route(
         monkeypatch):
-    plans, tries, escalated = [], [], []
-    greedy, summarized = eliminate._greedy_order, eliminate._Base.summarized
+    tries, escalated = [], []
+    summarized = eliminate._Base.summarized
     run_hybrid = eliminate._run_hybrid
 
     def counting(log, fn):
@@ -661,7 +708,6 @@ def test_a_wide_posterior_tries_its_summary_once_without_planning(
             log.append(result)
             return result
         return wrapper
-    monkeypatch.setattr(eliminate, "_greedy_order", counting(plans, greedy))
     monkeypatch.setattr(eliminate._Base, "summarized",
                         counting(tries, summarized))
     monkeypatch.setattr(eliminate, "_run_hybrid",
@@ -669,14 +715,15 @@ def test_a_wide_posterior_tries_its_summary_once_without_planning(
     trace = nets.wide_trace(np.random.default_rng(0))
     posterior = run(trace)
     queries = [[p] for p in trace.net.places] + [[]]
+    runs = []
     for asked in queries:
         posterior.query_stats(asked)
-    # every query escalates, as before; a node wider than BULK_NODE_BITS
-    # rules the summary out before it is planned, and only once
-    assert len(escalated) == len(queries) == 19
-    assert tries == [None]
-    assert len(plans) == len(queries)
-    assert posterior.mbn.preparation.nodes
+        runs.append(len(escalated))
+    # the first query escalates, the second runs the summary through the
+    # grouped route, and every later query reads the summary
+    assert len(tries) == 1 and tries[0] is not None
+    assert runs == [1] + [2] * (len(queries) - 1)
+    assert not posterior.mbn.preparation.nodes
 
 
 def test_observe_matches_run_on_the_extended_trace(rng):

@@ -28,23 +28,25 @@ outputs it drops out of their factors and picks the nodes to keep as
 matrices.
 
 The base lives on the network (``MBN.preparation``), so every query on
-the network shares it.  A network from ``mbn.attach_update`` holds its
-parent's base until its first query, which extends it by the new node.
-The parent's history is first summed out to its place wires
-(``_Base.summarized``): the new base holds the factors left over the
-parent's output classes and a record for the new node only, so a query
-plans and contracts about places plus one node's wires however long the
-trace.  The summary is refused only when the parent has more than
-BULK_NODE_BITS unpinned output classes, when its point masses conflict, or
-when its elimination raises TooLarge; the new base then takes the parent's
-node records over as they are, sharing their tables.  This is the
-interface (frontier) idea of filtering in dynamic Bayesian networks.
+the network shares it.  A network's first query builds its base and at
+once sums the network out to its output wires (``_Base.summarized``): the
+base is replaced by the factors left over the output classes, so that
+query and every later marginal, mass or joint query on the network plan
+over the summary factors alone, within BULK_NODE_BITS wires.  The summary
+is refused only when the network has more than BULK_NODE_BITS unpinned
+output classes, when its point masses conflict, or when its elimination
+raises TooLarge; the base then keeps its node records.
 
-A network's second query sums the network itself out the same way, once:
-its base is replaced by its own summary, so that query and every later
-marginal, mass or joint query on the network plan over the summary factors
-alone, within BULK_NODE_BITS wires.  The first query keeps its plan, so a
-network asked once pays nothing for the summary.
+A network from ``mbn.attach_update`` holds its parent's base until its
+first query, which extends it by the new node: on top of the parent's
+summary, which the parent's own first query made or this query makes from
+the parent's records, so the new base holds summary factors over the
+parent's output classes and a record for the new node only.  Such a base
+is kept as it is, and a query plans and contracts about places plus one
+node's wires however long the trace; the next network of the chain sums
+it out in turn.  Where the summary is refused, the new base takes the
+parent's node records over as they are, sharing their tables.  This is
+the interface (frontier) idea of filtering in dynamic Bayesian networks.
 
 Nodes whose factor would span more than BULK_NODE_BITS wires (sparse
 update matrices over many places) are never tabulated, and neither is a
@@ -462,10 +464,10 @@ class _Base:
     the dicts that hold them are copied.
 
     A base may also hold ``summary`` factors: an older network, or the
-    network itself, summed out to its output classes (see ``summarized``).  Every query multiplies
-    them in as they are.  They are shared read-only and never folded by
-    live flags, because a dropped output can sit in several of them; such
-    a wire is simply eliminated.  A base with a summary knows only the
+    network itself, summed out to its output classes (see ``summarized``).
+    Every query multiplies them in as they are.  They are shared read-only
+    and never folded by live flags, because a dropped output can sit in
+    several of them; such a wire is simply eliminated.  A base with a summary knows only the
     wires of its records and the summarized network's inputs and outputs.
     """
 
@@ -547,8 +549,6 @@ class _Base:
         self._tables = tables
         self._matrices = matrices
         self.summary = summary
-        # whether a query has already tried to summarize this base in place
-        self.tried_summary = False
 
     def _extends(self, net: MBN) -> bool:
         """Whether ``net`` starts with this base's network: the same
@@ -707,44 +707,42 @@ class _Problem:
 def _query_base(net: MBN, stats: ElimStats) -> _Base:
     """The query base of ``net``, kept on the network.
 
-    A network that holds its own base returns it; the first time after the
-    query that built it, if the base still holds node records, it is first
-    replaced by its own summary (``summarized``, charged to ``stats``, by
-    grouped steps where a node is too wide to tabulate), so the second and
-    later queries plan over the summary factors alone.  The summary is
-    tried once per base.  One that holds another
+    A network that holds its own base returns it.  One that holds another
     base, handed on by ``attach_update``, extends it by the new nodes when
-    ``net`` starts with that base's network: on top of the held base's
-    summary when ``summarized`` gives one (its elimination is charged to
-    ``stats``), else on top of the held base itself when the new nodes read
-    only wires it knows and its records keep their live targets.
-    Otherwise, and for a network that holds nothing, the base is built from
-    the empty one.  The new base replaces the held one, so a chain of
-    networks keeps at most one older base alive.
+    ``net`` starts with that base's network: a held base without node
+    records (a summary) as it is, a held base with records on top of its
+    summary when ``summarized`` gives one, else on top of the held base
+    itself when the new nodes read only wires it knows and its records
+    keep their live targets.  Otherwise, and for a network that holds
+    nothing, the base is built from the empty one.
+
+    The base so built is replaced at once by its own summary (``summarized``,
+    by grouped steps where a node is too wide to tabulate), so this query
+    and every later one plan over the summary factors alone.  A summary
+    plus at most one node record is kept as it is: that is the online
+    chain, whose next network sums it out anyway.  A refused summary keeps
+    the records.  Every elimination run here is charged to ``stats``.  The
+    new base replaces the held one, so a chain of networks keeps at most
+    one older base alive.
     """
     held = net.preparation
     if held is not None and held.graph is net.graph and held.ev is net.ev:
-        if held.nodes and not held.tried_summary:
-            held.tried_summary = True
-            summary = held.summarized(net, stats)
-            if summary is not None:
-                object.__setattr__(net, "preparation", summary)
-                return summary
         return held
     base = None
     if held is not None and held._extends(net):
-        summary = held.summarized(net, stats)
-        if summary is not None:
-            base = _Base(net, merge_diagonal=True, query=True,
-                         parent=summary)
-        elif held._knows(net, held.rep):
-            base = _Base(net, merge_diagonal=True, query=True,
-                         parent=held)
+        parent = held.summarized(net, stats) if held.nodes else None
+        if parent is None and held._knows(net, held.rep):
+            parent = held
+        if parent is not None:
+            base = _Base(net, merge_diagonal=True, query=True, parent=parent)
             n = held.graph.node_count
-            if {w for w in base.kept if w.node < n} != held.kept:
+            if parent.nodes and \
+                    {w for w in base.kept if w.node < n} != parent.kept:
                 base = None
     if base is None:
         base = _Base(net, merge_diagonal=True, query=True)
+    if not base.summary or len(base.nodes) > 1:
+        base = base.summarized(net, stats) or base
     # the network is frozen; its preparation is a cache beside its fields
     object.__setattr__(net, "preparation", base)
     return base
@@ -1056,13 +1054,12 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     kept on the network (``_query_base``), so a later call on the same
     network, over any places, reuses it with every node factor and
     grouped-step matrix built from it.  A network from ``attach_update``
-    extends the base its parent held instead of building one from nothing;
-    when it first sums the parent's history out to the place wires, or when
-    a second call sums the network itself out, that elimination runs in
-    this call and counts in the returned stats (``contractions``,
-    ``grouped_steps``, ``max_factor_wires``), so ``max_factor_wires`` may
-    exceed the order's width.  ``stats.summarized`` says whether the plan
-    ran over a summary.
+    extends the base its parent held instead of building one from nothing.
+    The first call sums the network, or the parent's history, out to its
+    output wires; that elimination runs in this call and counts in the
+    returned stats (``contractions``, ``grouped_steps``,
+    ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
+    width.  ``stats.summarized`` says whether the plan ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when the min-degree plan

@@ -302,10 +302,11 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     The result holds the query preparation ``net`` holds, copying nothing.
     Its first prepared query extends that preparation by the new node, so
     an observer who queries after every step builds each node factor once.
-    That query first sums the held network out to its place wires, unless
-    it has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes,
-    its point masses conflict or the summary raises TooLarge; the new node
-    then reads summary factors over the places, not the whole history.
+    The held network is summed out to its place wires, by its own first
+    query or else by this one, unless it has more than
+    ``eliminate.BULK_NODE_BITS`` unpinned place classes, its point masses
+    conflict or the summary raises TooLarge; the new node then reads
+    summary factors over the places, not the whole history.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")

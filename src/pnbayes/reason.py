@@ -11,23 +11,23 @@ whole observation sequence at once.
 Every query is one ``eliminate.scheduled_eliminate`` call on the
 posterior's network with the asked places, and all of them share one
 preparation, kept on the network (``MBN.preparation``) and freed with it:
-the first query builds the node factors, and the second sums the network
-out to its place wires once, by grouped steps where a node is too wide to
-tabulate, so every later marginal, mass or joint query plans over that
-summary instead of the whole trace (on a net of more than
+the first query builds the node factors and sums the network out to its
+place wires once, by grouped steps where a node is too wide to tabulate,
+so that query and every later marginal, mass or joint query plan over
+that summary instead of the whole trace (on a net of more than
 ``eliminate.BULK_NODE_BITS`` places, or where the summary raises
 TooLarge, they reuse the node factors).
 ``Posterior.marginals`` asks every place's marginal.  The preparation
 moves on with each step: ``Posterior.observe`` (like
 ``mbn.attach_update``, which it calls) hands it to the next network, whose
-first query sums the older history out to the place wires and adds the new
-node to that summary.  An observer who queries after every step thus
-builds each node factor once per trace, and a query costs about the same
-at step 20 as at step 1.  Where the summary is refused (more than
-``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
-TooLarge), the next network takes the older node records over instead.
+first query adds the new node to the older history summed out to the
+place wires, and keeps that base as it is.  An observer who queries after
+every step thus builds each node factor once per trace, and a query costs
+about the same at step 20 as at step 1.  Where the summary is refused
+(more than ``eliminate.BULK_NODE_BITS`` places, conflicting point masses,
+or TooLarge), the next network takes the older node records over instead.
 ``run`` builds no preparation along the way, so the first query on its
-posterior plans over the whole trace.
+posterior sums the whole trace out in one cut.
 
 The dense engine in :mod:`pnbayes.chain` replays the same trace over the
 full marking space and acts as an independent cross-check on small nets.
@@ -100,10 +100,11 @@ class Posterior:
     The network is unnormalized: its total mass is the probability of the
     observations, and queries normalize at the end.  Every query on one
     posterior shares one preparation of the network, kept on the network
-    itself: its first query builds the node factors, its second replaces
-    them by the network summed out to its place wires, which later queries
+    itself: its first query builds the node factors and replaces them by
+    the network summed out to its place wires, which it and later queries
     read, and all of it is freed with the network.  The posterior from
-    ``observe`` extends that preparation instead of building its own.
+    ``observe`` extends that preparation instead of building its own, and
+    keeps its one new node record beside the summary.
     """
 
     net: CENet
@@ -126,8 +127,8 @@ class Posterior:
                   ) -> dict[str, ProbVector]:
         """Each place's posterior marginal, normalized, keyed by place:
         ``places`` in the given order, or every place of the net.  One
-        ``marginal`` query per place, so all but the posterior's first query
-        read its summary (see the class docstring).  A bare string raises
+        ``marginal`` query per place, each reading the posterior's summary
+        (see the class docstring).  A bare string raises
         ValidationError, as in ``marginal``."""
         if isinstance(places, str):
             raise ValidationError(
@@ -148,14 +149,14 @@ class Posterior:
         """The posterior after one more step observed as ``obs``.
 
         Its network is this one with the step's update node attached.  Its
-        first query sums this posterior's network out to the place wires,
-        reusing this posterior's node factors and writing nothing into
-        them, and adds that node to the summary; querying after every step
-        thus builds each node factor once and keeps the query over about
-        places plus one node's wires.  Where the summary is refused (more
-        than ``eliminate.BULK_NODE_BITS`` places, conflicting point masses,
-        or TooLarge), it extends this posterior's preparation by the node
-        instead.
+        first query adds that node to this posterior's summary, summing
+        this posterior's network out to the place wires first if no query
+        did yet (reusing its node factors and writing nothing into them);
+        querying after every step thus builds each node factor once and
+        keeps the query over about places plus one node's wires.  Where the
+        summary is refused (more than ``eliminate.BULK_NODE_BITS`` places,
+        conflicting point masses, or TooLarge), it extends this posterior's
+        preparation by the node instead.
         """
         up = build_update(self.net, step)
         return Posterior(self.net, attach_update(self.mbn, up, obs))

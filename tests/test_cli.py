@@ -164,10 +164,10 @@ def test_query_stats_reports_whether_a_query_read_the_summary(capsys):
     lines = capsys.readouterr().out.splitlines()
     answers = [line.split(": ")[1] for line in lines[::2]]
     reports = [json.loads(line) for line in lines[1::2]]
-    # the first query plans over the trace; the second sums the posterior
-    # out to its place wires, which the rest read
-    assert [r["summarized"] for r in reports] == [False, True, True, True]
-    assert reports[1]["contractions"] > reports[2]["contractions"]
+    # the first query sums the posterior out to its place wires, and every
+    # query reads that summary
+    assert [r["summarized"] for r in reports] == [True, True, True, True]
+    assert reports[0]["contractions"] > reports[1]["contractions"]
     posterior = run(load_trace(GOSSIP_TRACE))
     want = [posterior.marginal([p]).entry(1) for p in ("K3", "K1", "K2")]
     assert [float(a) for a in answers[:3]] == pytest.approx(want, abs=1e-12)

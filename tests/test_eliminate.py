@@ -188,9 +188,12 @@ def test_scheduled_reports_realized_width(gossip_net, gossip_step):
                               build_update(gossip_net, gossip_step),
                               "success")
     marg = terminate(posterior, ["K3"])
+    # the first call sums the network out to K3 and counts that run too
+    _, _, first = scheduled_eliminate(marg)
+    assert first.summarized and first.contractions >= 1
     _, plan, stats = scheduled_eliminate(marg)
     assert stats.max_factor_wires <= plan.width
-    assert stats.contractions >= 1
+    assert first.max_factor_wires >= stats.max_factor_wires
     # the input tables count too, not only the contractions' results
     _, _, whole = scheduled_eliminate(posterior)
     assert whole.max_factor_wires >= max(
@@ -202,15 +205,20 @@ def test_a_plan_wider_than_the_tabulation_limit_escalates(monkeypatch):
     every node would fit a table, and agrees with the dense engine."""
     trace = random_trace(np.random.default_rng(0), places=10, transitions=12,
                          steps=12, max_pre=2, max_post=2, max_active=2)
-    _, plan, stats = scheduled_eliminate(run(trace).mbn)
+    with monkeypatch.context() as records:
+        # the plan over the node records, not over a summary of them
+        records.setattr(eliminate._Base, "summarized",
+                        lambda self, net, stats: None)
+        _, plan, stats = scheduled_eliminate(run(trace).mbn)
     assert not stats.grouped_steps
     net = run(trace).mbn
     limit = plan.width - 2
     monkeypatch.setattr(eliminate, "BULK_NODE_BITS", limit)
-    mat, _, stats = scheduled_eliminate(net)
-    base = net.preparation
+    base = eliminate._Base(net, merge_diagonal=True, query=True)
     assert max(len(node.scope(base.pinned))
                for node in base.nodes.values()) <= limit
+    # the summary, or where it is refused the query, runs over that plan
+    mat, _, stats = scheduled_eliminate(net)
     assert stats.grouped_steps
     joint, dense = mat.to_dense().ravel(), dense_posterior(trace).data
     assert joint.sum() == pytest.approx(dense.sum(), rel=1e-6)
@@ -233,7 +241,9 @@ def test_scheduled_eliminate_asks_places_of_the_network(escalating, cut,
     network terminated at them does, a second call reuses the network's
     base, and the places are checked before any base is built.  The cut
     wide traces end on a success whose targets no failure node reads, so
-    a grouped matrix must sum the unasked ones out as termination does."""
+    a grouped matrix must sum the unasked ones out as termination does.
+    Over the node records the two agree bit for bit; over the summary a
+    network's first query makes, to rounding."""
     if cut is not None:
         trace = _cut_after_last_success(
             nets.wide_trace(np.random.default_rng(cut)))
@@ -251,19 +261,31 @@ def test_scheduled_eliminate_asks_places_of_the_network(escalating, cut,
         init(self, *args, **kwargs)
     monkeypatch.setattr(eliminate._Base, "__init__", counted)
     for asked in (None, (), places[1::2], places):
-        net = run(trace).mbn
-        mat, order, stats = scheduled_eliminate(net, asked)
-        want, want_order, want_stats = scheduled_eliminate(terminate(
-            run(trace).mbn, places if asked is None else asked))
+        kept = places if asked is None else asked
+        with monkeypatch.context() as records:
+            records.setattr(eliminate._Base, "summarized",
+                            lambda self, net, stats: None)
+            net = run(trace).mbn
+            mat, order, stats = scheduled_eliminate(net, asked)
+            want, want_order, want_stats = scheduled_eliminate(terminate(
+                run(trace).mbn, kept))
         assert np.array_equal(mat.to_dense(), want.to_dense())
         assert order == want_order
         assert stats == want_stats
         assert bool(stats.grouped_steps) == escalating
-        built.clear()
-        again, _, _ = scheduled_eliminate(net, asked)
-        assert not built and net.preparation is not None
-        assert np.allclose(again.to_dense(), mat.to_dense(), rtol=1e-12,
-                           atol=0.0)
+        for summarized in (False, True):
+            if summarized:
+                net = run(trace).mbn
+                mat, _, stats = scheduled_eliminate(net, asked)
+                assert stats.summarized
+                assert bool(stats.grouped_steps) == escalating
+                assert np.allclose(mat.to_dense(), want.to_dense(),
+                                   rtol=1e-12, atol=0.0)
+            built.clear()
+            again, _, _ = scheduled_eliminate(net, asked)
+            assert not built and net.preparation is not None
+            assert np.allclose(again.to_dense(), mat.to_dense(), rtol=1e-12,
+                               atol=0.0)
     fresh = run(trace).mbn
     for bad in (MBN(fresh.graph, fresh.ev), fresh):
         with pytest.raises(MissingPlace):

@@ -103,7 +103,12 @@ def test_query_stats_reports_the_plan():
     posterior = run(nets.gossip_trace())
     raw, order, stats = posterior.query_stats(["K3"])
     assert raw.mass() == pytest.approx(0.75, abs=1e-12)
-    assert stats.max_factor_wires <= order.width
+    # the first query also sums the posterior out to its place wires, and
+    # its stats count that elimination; a later one plans over the summary
+    assert stats.summarized and stats.max_factor_wires >= order.width
+    raw, order, stats = posterior.query_stats(["K3"])
+    assert raw.mass() == pytest.approx(0.75, abs=1e-12)
+    assert stats.summarized and stats.max_factor_wires <= order.width
 
 
 def test_impossible_evidence_raises():
@@ -136,17 +141,13 @@ def test_run_rejects_unknown_observation():
 
 # -- queries sharing one posterior's preparation ------------------------------
 
-def _count_tabulations(monkeypatch, by_live: bool = False) -> dict:
-    """Count table and grouped-matrix constructions per node, or with
-    ``by_live`` per node and live targets: a grouped matrix is built over
-    a query's live targets, so one node may be built once for each set."""
+def _count_tabulations(monkeypatch) -> dict:
+    """Count table and grouped-matrix constructions per node."""
     counts: dict[tuple, int] = {}
 
     def counted(build):
         def wrapper(node, *args):
             key = (build.__name__, node.index)
-            if by_live:
-                key += (node.live,)
             counts[key] = counts.get(key, 0) + 1
             return build(node, *args)
         return wrapper
@@ -160,12 +161,13 @@ def _count_tabulations(monkeypatch, by_live: bool = False) -> dict:
 @pytest.mark.parametrize("trace, escalations", [
     (random_trace(np.random.default_rng(5), places=10, transitions=12,
                   steps=8), 0),
-    (nets.wide_trace(np.random.default_rng(0)), 2),
+    (nets.wide_trace(np.random.default_rng(0)), 1),
 ], ids=["tabulated", "escalating"])
 def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
                                                    monkeypatch):
-    # a grouped matrix is built once per node and set of live targets
-    counts = _count_tabulations(monkeypatch, by_live=bool(escalations))
+    # the first query sums the posterior out, so a grouped matrix is built
+    # once per node, over the summary's live targets
+    counts = _count_tabulations(monkeypatch)
     escalated = []
     run_hybrid = eliminate._run_hybrid
 
@@ -369,9 +371,9 @@ def test_online_posteriors_extend_their_parents_base(semantics, prior_kind,
         # the parent's history was summed out: no record of its nodes
         assert all(index >= held.graph.node_count for index in base.nodes)
         diagonal = diagonal or any(n.diagonal for n in base.nodes.values())
-        # the second query sums the new node out too
+        # the second query reads the same base; the next step sums it out
         posterior.query_stats(())
-        assert not posterior.mbn.preparation.nodes
+        assert posterior.mbn.preparation is base
         online.append((posterior, place))
     assert diagonal
     # the online chain built each node factor once
@@ -441,7 +443,18 @@ def test_only_attach_update_hands_on_a_base(gossip_net, gossip_step):
 
 
 def test_a_child_that_does_not_extend_its_parent_gets_a_fresh_base(
-        gossip_net, gossip_step):
+        gossip_net, gossip_step, monkeypatch):
+    for summaries in (False, True):
+        with monkeypatch.context() as route:
+            if not summaries:
+                # every base keeps its node records, so a child that took
+                # its parent's over would show
+                route.setattr(eliminate._Base, "summarized",
+                              lambda self, net, stats: None)
+            _check_fresh_children(gossip_net, gossip_step, summaries)
+
+
+def _check_fresh_children(gossip_net, gossip_step, summaries):
     parent = attach_update(uniform_prior(gossip_net),
                            build_update(gossip_net, gossip_step), "success")
     scheduled_eliminate(parent)
@@ -465,13 +478,18 @@ def test_a_child_that_does_not_extend_its_parent_gets_a_fresh_base(
                  only_k1.preparation)]
     for child, parent_base in children:
         assert child.preparation is parent_base
+        assert bool(parent_base.summary) == summaries
         mat, _, _ = scheduled_eliminate(child)
         assert mat.allclose(eval_naive(child), atol=1e-12)
         base = child.preparation
         assert base is not parent_base
         assert not any(base.nodes[index] is node
                        for index, node in parent_base.nodes.items())
-        _assert_fresh_base(base, child)
+        if summaries:
+            # built from nothing, then summed out as a whole
+            assert base.summary is not parent_base.summary
+        else:
+            _assert_fresh_base(base, child)
 
 
 @pytest.mark.parametrize("every", [1, 2])
@@ -544,6 +562,9 @@ def test_a_summary_too_wide_falls_back_to_records(start, monkeypatch):
     trace = _sweep_trace()
     posterior = run(ObservationTrace(trace.net, trace.prior,
                                      trace.steps[:start]))
+    if start:
+        # the posterior's own first query would summarize it
+        monkeypatch.setattr(eliminate, "BULK_NODE_BITS", 11)
     posterior.mass()
     online = []
     for n, (step, obs) in enumerate(trace.steps[start:], start + 1):
@@ -622,7 +643,7 @@ def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
     assert posterior.mbn.preparation is base
     assert base._tables == tables
     assert all(np.array_equal(tables[i].table, saved[i]) for i in saved)
-    # and the parent answers, summarizing itself on the way, as its twin
+    # and the parent answers as its twin
     queries = [[p] for p in trace.net.places] + [list(trace.net.places[:3]),
                                                  []]
     for asked in queries:
@@ -633,28 +654,24 @@ def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
     assert posterior.mbn.preparation.summary
 
 
-# -- a posterior summarized on its second query --------------------------------
+# -- a posterior summarized on its first query ---------------------------------
 
 def _random_traces(rng, count, **shape):
     return [random_trace(rng, semantics="stochastic" if k % 2 else
                          "independent", **shape) for k in range(count)]
 
 
-def test_the_second_query_replaces_the_records_by_a_summary(rng):
+def test_the_first_query_replaces_the_records_by_a_summary(rng):
     charged = []
     for trace in _random_traces(rng, 4, places=6, transitions=8, steps=5):
         posterior = run(trace)
-        _, _, first = posterior.query_stats([trace.net.places[0]])
-        base = posterior.mbn.preparation
-        assert base.nodes and not base.summary and not first.summarized
-        _, _, second = posterior.query_stats([trace.net.places[1]])
+        _, _, first = posterior.query_stats([trace.net.places[1]])
         summary = posterior.mbn.preparation
-        assert summary is not base
-        assert not summary.nodes and summary.summary and second.summarized
+        assert not summary.nodes and summary.summary and first.summarized
         # the summary's elimination counts in the query that ran it
-        _, _, third = posterior.query_stats([trace.net.places[1]])
-        charged.append(second.contractions - third.contractions)
-        assert posterior.mbn.preparation is summary
+        _, _, second = posterior.query_stats([trace.net.places[1]])
+        charged.append(first.contractions - second.contractions)
+        assert posterior.mbn.preparation is summary and second.summarized
     assert min(charged) >= 0 and max(charged) > 0
 
 
@@ -683,11 +700,12 @@ def test_queries_after_the_summary_match_the_dense_oracle(rng):
 
 def test_observe_on_a_summarized_parent_matches_run(rng):
     for trace in _random_traces(rng, 4, places=6, transitions=8, steps=6):
-        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
         for n, (step, obs) in enumerate(trace.steps, 1):
-            posterior = posterior.observe(step, obs)
-            posterior.marginals(trace.net.places[:2])
-            assert not posterior.mbn.preparation.nodes
+            parent = run(ObservationTrace(trace.net, trace.prior,
+                                          trace.steps[:n - 1]))
+            parent.marginals(trace.net.places[:2])
+            assert not parent.mbn.preparation.nodes
+            posterior = parent.observe(step, obs)
             want = run(ObservationTrace(trace.net, trace.prior,
                                         trace.steps[:n]))
             assert posterior.mass() == pytest.approx(want.mass(), rel=1e-12,
@@ -719,11 +737,37 @@ def test_a_wide_posterior_summarizes_once_through_the_grouped_route(
     for asked in queries:
         posterior.query_stats(asked)
         runs.append(len(escalated))
-    # the first query escalates, the second runs the summary through the
-    # grouped route, and every later query reads the summary
+    # the first query runs the summary through the grouped route, and every
+    # query reads the summary
     assert len(tries) == 1 and tries[0] is not None
-    assert runs == [1] + [2] * (len(queries) - 1)
+    assert runs == [1] * len(queries)
     assert not posterior.mbn.preparation.nodes
+
+
+def test_a_summarized_posterior_is_extended_as_it_is(monkeypatch):
+    trace = random_trace(np.random.default_rng(4), places=6, transitions=8,
+                         steps=6)
+    posterior = run(ObservationTrace(trace.net, trace.prior,
+                                     trace.steps[:-1]))
+    posterior.marginals()
+    summary = posterior.mbn.preparation
+    assert summary.summary and not summary.nodes
+    runs = []
+    eliminate_run = eliminate._eliminate
+
+    def counted(*args):
+        runs.append(args)
+        return eliminate_run(*args)
+    monkeypatch.setattr(eliminate, "_eliminate", counted)
+    child = posterior.observe(*trace.steps[-1])
+    place = trace.net.places[0]
+    raw, _, stats = child.query_stats([place])
+    # the query itself is the one elimination: the summary is not redone
+    assert len(runs) == 1 and stats.summarized
+    base = child.mbn.preparation
+    assert base.summary is summary.summary and len(base.nodes) == 1
+    want_raw, _, _ = run(trace).query_stats([place])
+    assert np.allclose(raw.data, want_raw.data, rtol=1e-12, atol=0.0)
 
 
 def test_observe_matches_run_on_the_extended_trace(rng):

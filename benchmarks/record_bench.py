@@ -9,8 +9,9 @@ sides and the number of pairs in which the change read lower.
 
 Next to the runs it records the plan of every query of round 0 of each
 workload at seed 0: ``max_factor_wires``, ``contractions``,
-``grouped_steps``, whether it read a summary (``summarized``), the order
-width and the answer.  The perfbench per-layer counts are averaged over
+``grouped_steps``, whether it read a summary (``summarized``), the node
+records its network's base keeps after it (``records``), the order width
+and the answer.  The perfbench per-layer counts are averaged over
 however many rounds a run reaches, so they cannot show a plan change;
 two BENCH files can be compared plan by plan instead.
 
@@ -106,9 +107,10 @@ def plans(checkout: Path) -> dict:
         sessions = workloads.round_sessions(workload, PLAN_SEED, 0)
         done, taken = worker.Pass(), {}
 
-        def record(*args, **kwargs):
-            result = eliminate(*args, **kwargs)
-            taken[len(done.answers)] = result[1:]
+        def record(net, *args, **kwargs):
+            result = eliminate(net, *args, **kwargs)
+            taken[len(done.answers)] = (*result[1:],
+                                        len(net.preparation.nodes))
             return result
         reason.scheduled_eliminate = record
         try:
@@ -123,13 +125,14 @@ def plans(checkout: Path) -> dict:
                 error = "no answer" if value is None else "no plan"
                 queries.append({"place": place, "error": error})
                 continue
-            order, stats = taken[k]
+            order, stats, records = taken[k]
             queries.append({
                 "place": place, "value": value,
                 "max_factor_wires": stats.max_factor_wires,
                 "contractions": stats.contractions,
                 "grouped_steps": stats.grouped_steps,
-                "summarized": stats.summarized, "width": order.width})
+                "summarized": stats.summarized, "records": records,
+                "width": order.width})
         out[workload] = queries
     return out
 

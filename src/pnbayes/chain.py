@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bitmatrix import ProbVector, TypedMatrix, _finalize_sparse, normalize
-from .errors import TooLarge
+from .errors import TooLarge, ValidationError
 from .petri import FAIL, INDEPENDENT, STOCHASTIC, CENet, StepSpec
 
 # ProbVector over all places; the fail-state mass is 1 - mass().
@@ -128,7 +128,7 @@ def update(p: JointDist, net: CENet, step: StepSpec, obs: str,
     two conventions agree after a final normalize).
     """
     if obs not in OBSERVATIONS:
-        raise ValueError(f"unknown observation {obs!r}")
+        raise ValidationError(f"unknown observation {obs!r}")
     _guard(net, limit)
     out = ProbVector(net.width, _raw_update(p.data, net, step, obs))
     return normalize(out) if normalize_result else out
@@ -143,7 +143,7 @@ def replay_trace(net: CENet, prior: JointDist,
     data = prior.data
     for step, obs in steps:
         if obs not in OBSERVATIONS:
-            raise ValueError(f"unknown observation {obs!r}")
+            raise ValidationError(f"unknown observation {obs!r}")
         data = _raw_update(data, net, step, obs)
         if normalize_each:
             out = normalize(ProbVector(net.width, data))

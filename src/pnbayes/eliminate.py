@@ -38,15 +38,13 @@ output classes, when its point masses conflict, or when its elimination
 raises TooLarge; the base then keeps its node records.
 
 A network from ``mbn.attach_update`` holds its parent's base until its
-first query, which extends it by the new node: on top of the parent's
-summary, which the parent's own first query made or this query makes from
-the parent's records, so the new base holds summary factors over the
-parent's output classes and a record for the new node only.  Such a base
-is kept as it is, and a query plans and contracts about places plus one
-node's wires however long the trace; the next network of the chain sums
-it out in turn.  Where the summary is refused, the new base takes the
-parent's node records over as they are, sharing their tables.  This is
-the interface (frontier) idea of filtering in dynamic Bayesian networks.
+first query, which extends that base as it is by the new node, then sums
+the result out in turn.  Along an online chain each held base is the
+parent's summary, so a query plans and contracts about places plus one
+node's wires however long the trace.  Where the summary is refused, the
+new base takes the parent's node records over as they are, sharing their
+tables.  This is the interface (frontier) idea of filtering in dynamic
+Bayesian networks.
 
 Nodes whose factor would span more than BULK_NODE_BITS wires (sparse
 update matrices over many places) are never tabulated, and neither is a
@@ -463,12 +461,13 @@ class _Base:
     representative.  The parent's cached tables and matrices are shared;
     the dicts that hold them are copied.
 
-    A base may also hold ``summary`` factors: an older network, or the
-    network itself, summed out to its output classes (see ``summarized``).
+    A base may also hold ``summary`` factors: the network, or the older one
+    it extends, summed out to its output classes (see ``summarized``).
     Every query multiplies them in as they are.  They are shared read-only
     and never folded by live flags, because a dropped output can sit in
-    several of them; such a wire is simply eliminated.  A base with a summary knows only the
-    wires of its records and the summarized network's inputs and outputs.
+    several of them; such a wire is simply eliminated.  A base with a
+    summary knows only its records' wires and the summarized network's
+    inputs and outputs.
     """
 
     def __init__(self, net: MBN, merge_diagonal: bool, query: bool,
@@ -562,38 +561,34 @@ class _Base:
                 and all(net.ev.get(g.name) is self.ev[g.name]
                         for g in mine.gens))
 
-    def _knows(self, net: MBN, wires) -> bool:
+    def _knows(self, net: MBN) -> bool:
         """Whether ``net``'s new nodes read, and its outputs are, only
-        ``wires`` of this base's network or ports of those new nodes."""
+        wires this base knows or ports of those new nodes."""
         graph, n = net.graph, self.graph.node_count
-        return all(w.node >= n or w in wires
+        return all(w.node >= n or w in self.rep
                    for w in itertools.chain(graph.out, *graph.sources[n:]))
 
-    def summarized(self, net: MBN, stats: ElimStats) -> _Base | None:
+    def summarized(self, stats: ElimStats) -> _Base | None:
         """This network summed out to its inputs and unpinned output
-        classes, as a base with no node records, for ``net`` to extend.
+        classes, as a base with no node records.
 
         It is the problem of this network over all its outputs, eliminated
         by the route a query takes (``_eliminate``): min-degree over the
         node tables, or the grouped route when a node is too wide to
         tabulate or the plan is wider than BULK_NODE_BITS.  The factors
-        left are the new summary.  It is refused (None) only when it would
-        not be exact for ``net`` (this base is zero, or ``net``'s new nodes
-        read or its outputs are more than this network's inputs, outputs
-        and new ports), when the unpinned output classes number more than
-        BULK_NODE_BITS (found before any work), or when the run raises
-        TooLarge.  The run is charged to ``stats``.  Its node tables and
-        grouped matrices come from this base, so one not built yet is built
-        and kept in it, as by any query; nothing already in the base
-        changes.  With ``net`` this base's own network, the result answers
-        every query on it.
+        left are the new summary; it answers every query on the network,
+        and a network that extends this one reads it as it is.  It is
+        refused (None) only when this base is zero, when the unpinned
+        output classes number more than BULK_NODE_BITS (found before any
+        work), or when the run raises TooLarge.  The run is charged to
+        ``stats``.  Its node tables and grouped matrices come from this
+        base, so one not built yet is built and kept in it, as by any
+        query; nothing already in the base changes.
         """
         graph, rep = self.graph, self.rep
         shown = graph.inputs() + graph.out
-        if self.zero or not self._knows(net, set(shown)):
-            return None
         classes = {rep[w] for w in graph.out} - self.pinned.keys()
-        if len(classes) > BULK_NODE_BITS:
+        if self.zero or len(classes) > BULK_NODE_BITS:
             return None
         try:
             _, left, _ = _eliminate(self, graph.out, stats)
@@ -708,41 +703,31 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     """The query base of ``net``, kept on the network.
 
     A network that holds its own base returns it.  One that holds another
-    base, handed on by ``attach_update``, extends it by the new nodes when
-    ``net`` starts with that base's network: a held base without node
-    records (a summary) as it is, a held base with records on top of its
-    summary when ``summarized`` gives one, else on top of the held base
-    itself when the new nodes read only wires it knows and its records
-    keep their live targets.  Otherwise, and for a network that holds
-    nothing, the base is built from the empty one.
+    base, handed on by ``attach_update`` (a summary, unless that was
+    refused), extends it as it is by the new nodes when ``net`` starts with
+    that base's network, the new nodes read only wires it knows, and its
+    records, if any, keep their live targets.  Otherwise, and for a network
+    that holds nothing, the base is built from the empty one.
 
-    The base so built is replaced at once by its own summary (``summarized``,
-    by grouped steps where a node is too wide to tabulate), so this query
-    and every later one plan over the summary factors alone.  A summary
-    plus at most one node record is kept as it is: that is the online
-    chain, whose next network sums it out anyway.  A refused summary keeps
-    the records.  Every elimination run here is charged to ``stats``.  The
-    new base replaces the held one, so a chain of networks keeps at most
-    one older base alive.
+    The base so built is replaced at once by its own summary
+    (``summarized``), so this query and every later one plan over the
+    summary factors alone; a refused summary keeps the records.  Every
+    elimination run here is charged to ``stats``.  The new base replaces
+    the held one, so a chain of networks keeps at most one older base
+    alive.
     """
     held = net.preparation
     if held is not None and held.graph is net.graph and held.ev is net.ev:
         return held
     base = None
-    if held is not None and held._extends(net):
-        parent = held.summarized(net, stats) if held.nodes else None
-        if parent is None and held._knows(net, held.rep):
-            parent = held
-        if parent is not None:
-            base = _Base(net, merge_diagonal=True, query=True, parent=parent)
-            n = held.graph.node_count
-            if parent.nodes and \
-                    {w for w in base.kept if w.node < n} != parent.kept:
-                base = None
+    if held is not None and held._extends(net) and held._knows(net):
+        base = _Base(net, merge_diagonal=True, query=True, parent=held)
+        n = held.graph.node_count
+        if held.nodes and {w for w in base.kept if w.node < n} != held.kept:
+            base = None
     if base is None:
         base = _Base(net, merge_diagonal=True, query=True)
-    if not base.summary or len(base.nodes) > 1:
-        base = base.summarized(net, stats) or base
+    base = base.summarized(stats) or base
     # the network is frozen; its preparation is a cache beside its fields
     object.__setattr__(net, "preparation", base)
     return base
@@ -1055,11 +1040,11 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     network, over any places, reuses it with every node factor and
     grouped-step matrix built from it.  A network from ``attach_update``
     extends the base its parent held instead of building one from nothing.
-    The first call sums the network, or the parent's history, out to its
-    output wires; that elimination runs in this call and counts in the
-    returned stats (``contractions``, ``grouped_steps``,
-    ``max_factor_wires``), so ``max_factor_wires`` may exceed the order's
-    width.  ``stats.summarized`` says whether the plan ran over a summary.
+    The first call sums the network out to its output wires; that
+    elimination runs in this call and counts in the returned stats
+    (``contractions``, ``grouped_steps``, ``max_factor_wires``), so
+    ``max_factor_wires`` may exceed the order's width.
+    ``stats.summarized`` says whether the plan ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are
     never tabulated.  When such a node exists, or when the min-degree plan

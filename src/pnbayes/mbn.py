@@ -18,9 +18,10 @@ that no drawn transition was enabled (context-specific independence).
 A network also carries its query preparation (``eliminate._Base``), built
 by its first prepared query.  Until then, a network returned by
 :func:`attach_update` holds the preparation its parent held, and its first
-query extends that by the new node instead of starting over: where exact
-and narrow enough, on top of the parent's history summed out to its place
-wires, so the query's cost does not grow with the trace.
+query extends that by the new node instead of starting over, then sums
+the result out to its place wires.  Where the summary is narrow enough,
+the held preparation is the history summed out to its place wires, so the
+query's cost does not grow with the trace.
 """
 from __future__ import annotations
 
@@ -302,11 +303,11 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     The result holds the query preparation ``net`` holds, copying nothing.
     Its first prepared query extends that preparation by the new node, so
     an observer who queries after every step builds each node factor once.
-    The held network is summed out to its place wires, by its own first
-    query or else by this one, unless it has more than
-    ``eliminate.BULK_NODE_BITS`` unpinned place classes, its point masses
-    conflict or the summary raises TooLarge; the new node then reads
-    summary factors over the places, not the whole history.
+    Every network's first query sums it out to its place wires, unless it
+    has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes, its
+    point masses conflict or the summary raises TooLarge; so where ``net``
+    or an ancestor was queried, the new node reads summary factors over the
+    places, not the whole history.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")

@@ -110,16 +110,19 @@ class CENet:
         return self._post_mask[name]
 
     def marking(self, m: Marking | str | int) -> Marking:
-        if isinstance(m, Marking):
-            if m.width != self.width:
-                raise ValidationError(
-                    f"marking width {m.width} != {self.width} places")
-            return m
         if isinstance(m, str):
             if len(m) != self.width:
                 raise ValidationError(
                     f"marking literal {m!r} has wrong length")
             return Marking.from_bits(m)
+        if isinstance(m, Marking):
+            if m.width != self.width:
+                raise ValidationError(
+                    f"marking width {m.width} != {self.width} places")
+            m = m.value
+        if not 0 <= int(m) < 1 << self.width:
+            raise ValidationError(
+                f"marking {m} is outside [0, 2^{self.width})")
         return Marking(int(m), self.width)
 
     def __repr__(self):

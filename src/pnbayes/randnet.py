@@ -133,8 +133,14 @@ class BenchConfig:
     def __post_init__(self):
         if not self.places or not self.transitions:
             raise ValidationError("places and transitions must be nonempty")
-        if self.max_pre < 1 or self.max_post < 1:
-            raise ValidationError("max_pre and max_post must be at least 1")
+        if min(self.places + self.transitions) < 1:
+            raise ValidationError("place and transition counts must be at "
+                                  "least 1")
+        if min(self.max_pre, self.max_post, self.max_active) < 1:
+            raise ValidationError("max_pre, max_post and max_active must be "
+                                  "at least 1")
+        if min(self.steps, self.trials) < 0:
+            raise ValidationError("steps and trials must not be negative")
         for engine in self.engines:
             if engine not in ENGINES:
                 raise ValidationError(f"unknown engine {engine!r}")

@@ -21,11 +21,12 @@ TooLarge, they reuse the node factors).
 moves on with each step: ``Posterior.observe`` (like
 ``mbn.attach_update``, which it calls) hands it to the next network, whose
 first query adds the new node to the older history summed out to the
-place wires, and keeps that base as it is.  An observer who queries after
-every step thus builds each node factor once per trace, and a query costs
-about the same at step 20 as at step 1.  Where the summary is refused
-(more than ``eliminate.BULK_NODE_BITS`` places, conflicting point masses,
-or TooLarge), the next network takes the older node records over instead.
+place wires and sums that out in turn, so an observe chain carries only
+summaries.  An observer who queries after every step thus builds each
+node factor once per trace, and a query costs about the same at step 20
+as at step 1.  Where the summary is refused (more than
+``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
+TooLarge), the next network takes the older node records over instead.
 ``run`` builds no preparation along the way, so the first query on its
 posterior sums the whole trace out in one cut.
 
@@ -104,7 +105,7 @@ class Posterior:
     the network summed out to its place wires, which it and later queries
     read, and all of it is freed with the network.  The posterior from
     ``observe`` extends that preparation instead of building its own, and
-    keeps its one new node record beside the summary.
+    sums it out to the place wires in turn.
     """
 
     net: CENet
@@ -149,14 +150,14 @@ class Posterior:
         """The posterior after one more step observed as ``obs``.
 
         Its network is this one with the step's update node attached.  Its
-        first query adds that node to this posterior's summary, summing
-        this posterior's network out to the place wires first if no query
-        did yet (reusing its node factors and writing nothing into them);
-        querying after every step thus builds each node factor once and
-        keeps the query over about places plus one node's wires.  Where the
-        summary is refused (more than ``eliminate.BULK_NODE_BITS`` places,
-        conflicting point masses, or TooLarge), it extends this posterior's
-        preparation by the node instead.
+        first query extends the preparation this posterior holds by that
+        node, as it is, and sums the result out to the place wires (writing
+        nothing into the held preparation); querying after every step thus
+        builds each node factor once and keeps the query over about places
+        plus one node's wires.  Where the summary is refused (more than
+        ``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
+        TooLarge), the preparation keeps node records, and the next
+        posterior extends them.
         """
         up = build_update(self.net, step)
         return Posterior(self.net, attach_update(self.mbn, up, obs))

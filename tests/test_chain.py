@@ -5,7 +5,7 @@ import pytest
 from pnbayes.bitmatrix import ProbVector, normalize
 from pnbayes.chain import (build_F, build_P, marginal_of, replay_trace,
                            update)
-from pnbayes.errors import TooLarge
+from pnbayes.errors import TooLarge, ValidationError
 from pnbayes.petri import CENet, StepSpec, enabled, fire, r
 from pnbayes.randnet import random_net, random_step
 
@@ -76,7 +76,7 @@ def test_update_conditions_on_the_observation(gossip_net, gossip_step):
     F = build_F(gossip_net, gossip_step).diag_vector()
     expected = F * prior.data
     assert np.allclose(fail.data, expected / expected.sum())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         update(prior, gossip_net, gossip_step, "maybe")
 
 
@@ -96,6 +96,8 @@ def test_replay_keeps_evidence_mass(gossip_net, gossip_step):
     # normalize_each only changes scale, not direction
     out2 = replay_trace(gossip_net, prior, steps, normalize_each=True)
     assert np.allclose(normalize(out).data, out2.data)
+    with pytest.raises(ValidationError):
+        replay_trace(gossip_net, prior, [(gossip_step, "maybe")])
 
 
 def test_marginal_of_projects(gossip_net, gossip_step):

@@ -257,6 +257,17 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "-2", "steps and trials must not be negative"),
+    ("--max-active", "0", "max_active must be at least 1"),
+    ("--places", "0", "place and transition counts must be at least 1")])
+def test_bench_rejects_counts_out_of_range(flag, value, message, capsys):
+    argv = {"--places": "3", "--transitions": "4", "--steps": "2"}
+    argv[flag] = value
+    assert main(["bench", *[a for kv in argv.items() for a in kv]]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["bench", "--places", "5..6", "--transitions", "6",

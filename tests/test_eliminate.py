@@ -208,7 +208,7 @@ def test_a_plan_wider_than_the_tabulation_limit_escalates(monkeypatch):
     with monkeypatch.context() as records:
         # the plan over the node records, not over a summary of them
         records.setattr(eliminate._Base, "summarized",
-                        lambda self, net, stats: None)
+                        lambda self, stats: None)
         _, plan, stats = scheduled_eliminate(run(trace).mbn)
     assert not stats.grouped_steps
     net = run(trace).mbn
@@ -264,7 +264,7 @@ def test_scheduled_eliminate_asks_places_of_the_network(escalating, cut,
         kept = places if asked is None else asked
         with monkeypatch.context() as records:
             records.setattr(eliminate._Base, "summarized",
-                            lambda self, net, stats: None)
+                            lambda self, stats: None)
             net = run(trace).mbn
             mat, order, stats = scheduled_eliminate(net, asked)
             want, want_order, want_stats = scheduled_eliminate(terminate(

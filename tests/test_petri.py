@@ -2,6 +2,7 @@
 import pytest
 
 from pnbayes.errors import MissingPlace, NotEnabled, ValidationError
+from pnbayes.mbn import prior_point
 from pnbayes.petri import (CENet, Marking, StepSpec, Transition, enabled,
                            fire, net_from_json, net_to_json, r,
                            relevant_sets, validate_net_json)
@@ -26,6 +27,18 @@ def test_marking_literals(gossip_net):
     assert gossip_net.pre_mask("d1") == 0b1000
     with pytest.raises(ValidationError):
         gossip_net.marking("11")
+
+
+def test_an_integer_marking_outside_the_net_raises():
+    net = CENet(("a", "b"), (("t", ("a",), ("b",)),))
+    assert net.marking(3) == Marking(3, 2)
+    for bad in (4, 7, -1, Marking(7, 2)):
+        with pytest.raises(ValidationError, match="outside"):
+            net.marking(bad)
+    with pytest.raises(ValidationError):
+        fire(net, 7, "t")
+    with pytest.raises(ValidationError):
+        prior_point(net, 7)
 
 
 def test_enabled_and_fire(gossip_net):

@@ -62,6 +62,19 @@ def test_bench_config_validation():
         BenchConfig(engines=("mbn", "turbo"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("places", (3, 0)), ("transitions", (0,)), ("transitions", (-2, 4)),
+    ("max_active", 0), ("max_pre", 0), ("steps", -2), ("trials", -1)])
+def test_bench_config_rejects_counts_out_of_range(field, value):
+    with pytest.raises(ValidationError):
+        BenchConfig(**{field: value})
+
+
+def test_bench_config_allows_zero_steps_and_trials():
+    assert bench_rows(BenchConfig(places=(3,), steps=0, trials=1))
+    assert not bench_rows(BenchConfig(places=(3,), trials=0))
+
+
 def test_bench_rows_layout_and_determinism():
     cfg = BenchConfig(places=(5, 6), transitions=(6, 7), steps=3, trials=2,
                       seed=11)

@@ -368,10 +368,13 @@ def test_online_posteriors_extend_their_parents_base(semantics, prior_kind,
         place = trace.net.places[int(rng.integers(len(trace.net.places)))]
         posterior.query_stats([place])
         base = posterior.mbn.preparation
-        # the parent's history was summed out: no record of its nodes
-        assert all(index >= held.graph.node_count for index in base.nodes)
-        diagonal = diagonal or any(n.diagonal for n in base.nodes.values())
-        # the second query reads the same base; the next step sums it out
+        # the parent's summary and the new node were summed out in turn:
+        # the base keeps no node record
+        assert base.summary and not base.nodes
+        graph = posterior.mbn.graph
+        mat = posterior.mbn.matrix(graph.gens[-1].name)
+        diagonal = diagonal or (mat.is_diagonal and mat.in_arity > 0)
+        # the second query reads the same base
         posterior.query_stats(())
         assert posterior.mbn.preparation is base
         online.append((posterior, place))
@@ -450,7 +453,7 @@ def test_a_child_that_does_not_extend_its_parent_gets_a_fresh_base(
                 # every base keeps its node records, so a child that took
                 # its parent's over would show
                 route.setattr(eliminate._Base, "summarized",
-                              lambda self, net, stats: None)
+                              lambda self, stats: None)
             _check_fresh_children(gossip_net, gossip_step, summaries)
 
 
@@ -543,13 +546,15 @@ def test_a_sweep_chain_summarizes_at_every_step(start):
     posterior.mass()
     online = []
     for n, (step, obs) in enumerate(trace.steps[start:], start + 1):
+        held = posterior.mbn.preparation
         posterior = posterior.observe(step, obs)
         posterior.mass()
         base = posterior.mbn.preparation
-        # the parent is summed out to the places, through grouped steps
-        # past the sweep's 24 wires; this step's node is the one record
-        assert base.summary
-        assert list(base.nodes) == [len(trace.net.places) + n - 1]
+        # the parent's summary, extended by this step's node, is summed
+        # out to the places, through grouped steps past the sweep's 24
+        # wires: the chain carries summaries only
+        assert held.summary and not held.nodes
+        assert base.summary and not base.nodes
         online.append((n, posterior))
     for n, posterior in online:
         for asked in (["p0"], ["p11"], ()):
@@ -576,8 +581,9 @@ def test_a_summary_too_wide_falls_back_to_records(start, monkeypatch):
         posterior.mass()
         base = posterior.mbn.preparation
         if n == 1:
-            # the prior summarizes; the sweep's node is the new record
-            assert list(base.nodes) == [len(trace.net.places)]
+            # the prior's summary, extended by the sweep's node, is summed
+            # out in turn
+            assert base.summary and not base.nodes
         else:
             # a summary would span more than BULK_NODE_BITS wires: every
             # older record is taken over instead
@@ -597,6 +603,34 @@ def test_a_summary_too_wide_falls_back_to_records(start, monkeypatch):
         _assert_matches_dense(posterior, trace, n, trace.net.places)
 
 
+def test_a_refused_summary_is_tried_once_per_observe_step(monkeypatch):
+    trace = _sweep_trace()
+    # a summary over the 12 places is refused, so every base keeps records
+    monkeypatch.setattr(eliminate, "BULK_NODE_BITS", 11)
+    tries = []
+    summarized = eliminate._Base.summarized
+
+    def counted(self, stats):
+        got = summarized(self, stats)
+        tries.append(got)
+        return got
+    monkeypatch.setattr(eliminate._Base, "summarized", counted)
+    posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+    posterior.mass()
+    assert tries == [None]
+    for n, (step, obs) in enumerate(trace.steps, 1):
+        posterior = posterior.observe(step, obs)
+        posterior.mass()
+        posterior.marginal(["p0"])
+        # the held records are extended as they are, and only the new
+        # base's own summary is tried
+        assert tries == [None] * (n + 1)
+        base = posterior.mbn.preparation
+        assert not base.summary
+        assert len(base.nodes) == len(trace.net.places) + n
+        _assert_matches_dense(posterior, trace, n, ["p0", "p11"])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_an_observe_chain_summarizes_past_a_wide_node(seed):
     trace = nets.wide_trace(np.random.default_rng(seed))
@@ -606,10 +640,10 @@ def test_an_observe_chain_summarizes_past_a_wide_node(seed):
     for n, (step, obs) in enumerate(trace.steps, 1):
         posterior = posterior.observe(step, obs)
         mass = posterior.mass()
-        # the parent is summed out to the places, a success node too wide
-        # to tabulate included; this step's node is the one record
+        # the parent's summary, extended by this step's node, is summed
+        # out to the places, a success node too wide to tabulate included
         base = posterior.mbn.preparation
-        assert base.summary and len(base.nodes) == 1
+        assert base.summary and not base.nodes
         place = places[n % len(places)]
         raw, _, _ = posterior.query_stats([place])
         want = run(ObservationTrace(trace.net, trace.prior, trace.steps[:n]))
@@ -619,7 +653,8 @@ def test_an_observe_chain_summarizes_past_a_wide_node(seed):
         _assert_matches_dense(posterior, trace, n, [place])
 
 
-def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
+def test_a_parent_answers_the_same_after_its_child_extended_it(
+        rng, monkeypatch):
     trace = random_trace(rng, places=7, transitions=9, steps=6)
 
     def parent():
@@ -628,21 +663,32 @@ def test_a_parent_answers_the_same_after_its_child_summarized_it(rng):
             posterior = posterior.observe(step, obs)
             posterior.mass()
         return posterior
-    # two equal parents after one query each, so each base still holds a
-    # node record; only the first gets a child
+    # two equal parents after one query each, so each base is a summary;
+    # only the first gets a child
     posterior, alone = parent(), parent()
     base = posterior.mbn.preparation
-    assert base.nodes
-    tables = dict(base._tables)
-    saved = {index: f.table.copy() for index, f in tables.items()}
+    assert base.summary and not base.nodes
+    summary = base.summary
+    saved = [f.table.copy() for f in summary]
+    parents = []
+    init = eliminate._Base.__init__
+
+    def counted(self, net, *args, parent=None, **kwargs):
+        parents.append(parent)
+        init(self, net, *args, parent=parent, **kwargs)
+    monkeypatch.setattr(eliminate._Base, "__init__", counted)
     child = posterior.observe(*trace.steps[-1])
     child.mass()
-    assert all(index >= len(base.graph.gens)
-               for index in child.mbn.preparation.nodes)
-    # the summary wrote nothing into the parent's base
+    monkeypatch.undo()
+    # the child extended the parent's base as it is, then summed that out
+    assert parents == [base]
+    assert not child.mbn.preparation.nodes
+    # the extension and its summary wrote nothing into the parent's base
     assert posterior.mbn.preparation is base
-    assert base._tables == tables
-    assert all(np.array_equal(tables[i].table, saved[i]) for i in saved)
+    assert base.summary is summary and not base.nodes
+    assert not base._tables and not base._matrices
+    assert all(np.array_equal(f.table, want)
+               for f, want in zip(summary, saved))
     # and the parent answers as its twin
     queries = [[p] for p in trace.net.places] + [list(trace.net.places[:3]),
                                                  []]
@@ -762,10 +808,12 @@ def test_a_summarized_posterior_is_extended_as_it_is(monkeypatch):
     child = posterior.observe(*trace.steps[-1])
     place = trace.net.places[0]
     raw, _, stats = child.query_stats([place])
-    # the query itself is the one elimination: the summary is not redone
-    assert len(runs) == 1 and stats.summarized
-    base = child.mbn.preparation
-    assert base.summary is summary.summary and len(base.nodes) == 1
+    # the parent's summary is not eliminated again: one run sums out the
+    # base that extends it by one record, one answers over the result
+    assert len(runs) == 2 and stats.summarized
+    extended, base = runs[0][0], child.mbn.preparation
+    assert extended.summary is summary.summary and len(extended.nodes) == 1
+    assert runs[1][0] is base and base.summary and not base.nodes
     want_raw, _, _ = run(trace).query_stats([place])
     assert np.allclose(raw.data, want_raw.data, rtol=1e-12, atol=0.0)
 

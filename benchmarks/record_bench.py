@@ -9,9 +9,10 @@ sides and the number of pairs in which the change read lower.
 
 Next to the runs it records the plan of every query of round 0 of each
 workload at seed 0: ``max_factor_wires``, ``contractions``,
-``grouped_steps``, whether it read a summary (``summarized``), the node
-records its network's base keeps after it (``records``), the order width
-and the answer.  The perfbench per-layer counts are averaged over
+``grouped_steps``, ``swept`` (the wires summed inside their own factor),
+whether it read a summary (``summarized``), the node records its
+network's base keeps after it (``records``), the order width and the
+answer.  The perfbench per-layer counts are averaged over
 however many rounds a run reaches, so they cannot show a plan change;
 two BENCH files can be compared plan by plan instead.
 
@@ -131,6 +132,8 @@ def plans(checkout: Path) -> dict:
                 "max_factor_wires": stats.max_factor_wires,
                 "contractions": stats.contractions,
                 "grouped_steps": stats.grouped_steps,
+                # a checkout older than the count has no swept wires
+                "swept": getattr(stats, "swept", None),
                 "summarized": stats.summarized, "records": records,
                 "width": order.width})
         out[workload] = queries

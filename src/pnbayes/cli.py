@@ -84,6 +84,7 @@ def _print_stats(query: dict, width: int, stats) -> None:
     print(json.dumps({**query, "width": width,
                       "max_factor_wires": stats.max_factor_wires,
                       "contractions": stats.contractions,
+                      "swept": stats.swept,
                       "grouped": stats.grouped_steps > 0,
                       "summarized": stats.summarized}))
 
@@ -206,8 +207,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--stats", action="store_true",
                    help="after each answer, print one JSON line with the "
                         "order width, max_factor_wires, contractions, "
-                        "whether grouped contraction ran and whether the "
-                        "query planned over the posterior's summary")
+                        "swept wires, whether grouped contraction ran and "
+                        "whether the query planned over the posterior's "
+                        "summary")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("oracle",

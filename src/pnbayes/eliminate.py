@@ -4,19 +4,24 @@ Evaluation is phrased over factors: one table per node on its source and
 target wires.  Internal wires are summed out one at a time; eliminating a
 wire multiplies the factors containing it and sums it away, and the final
 product over the surviving factors, read at the external wires, is the
-network's matrix.  The width of an elimination order (the largest factor
-the order can force) is tracked alongside, together with the elimination
-graph, fill-in, the min-degree heuristic, tree-decomposition checking and
-the term-width calculus for compositional expressions.
+network's matrix.  A wire that only one factor holds needs no product: it
+is summed out inside that factor.  The width of an elimination order (the
+largest factor the order can force) is tracked alongside, together with
+the elimination graph, fill-in, the min-degree heuristic,
+tree-decomposition checking and the term-width calculus for compositional
+expressions.
 
-The query path (``scheduled_eliminate``) always applies three rewrites
+The query path (``scheduled_eliminate``) always applies four rewrites
 from the evaluation-scheduling playbook: diagonal nodes merge their
 input/output wires into equivalence classes instead of doubling factor
 arity, node outputs that nobody reads are summed out of their producing
-factor, and point-mass source nodes pin their wires to constants so
-factors shrink by slicing.  Runs over an explicit order
-(``run_elimination``) apply none of them, except the diagonal merge on
-request.
+factor, point-mass source nodes pin their wires to constants so factors
+shrink by slicing, and every unasked wire confined to one factor is
+summed out of it in one reduction per factor before min-degree plans the
+wires that factors share (``_plan``, ``_sweep_confined``).  So a query
+over a summary runs no contraction unless a wire it leaves out sits in two
+summary factors.  Runs over an explicit order (``run_elimination``) apply
+none of them, except the diagonal merge on request.
 
 Preparation comes in two halves.  The base (``_Base``) depends only on
 the network: the merged wire classes, the pins, the classes some node
@@ -53,8 +58,9 @@ matrices and contracts each in a single grouped step: the dense factors
 touching its input wires are joined, reshaped into a block per input
 assignment, and pushed through the matrix, kept in coordinate form, as
 one sparse-times-dense product.  Everything within the limit runs through
-the ordinary one-wire-at-a-time eliminator.  Queries and summaries choose
-between the two routes by one rule (``_eliminate``).
+the ordinary route: the confined wires swept, then one contraction per
+planned wire.  Queries and summaries choose between the two routes by one
+rule (``_eliminate``), and both end by the same sweep and plan.
 """
 from __future__ import annotations
 
@@ -382,7 +388,9 @@ def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
 @dataclass
 class ElimStats:
     """Bookkeeping of one elimination run.  ``contractions`` counts every
-    contraction, ``grouped_steps`` the grouped ones among them.
+    contraction, ``grouped_steps`` the grouped ones among them.  ``swept``
+    counts the wires summed out inside the one factor that held them
+    (``_sweep_confined``), on either route; they are not contractions.
     ``summarized`` says whether the query planned over a summary of the
     network's history (``_Base.summarized``) instead of its node records
     alone."""
@@ -390,6 +398,7 @@ class ElimStats:
     max_factor_wires: int = 0
     contractions: int = 0
     grouped_steps: int = 0
+    swept: int = 0
     summarized: bool = False
 
     def track(self, size: int) -> None:
@@ -573,17 +582,18 @@ class _Base:
         classes, as a base with no node records.
 
         It is the problem of this network over all its outputs, eliminated
-        by the route a query takes (``_eliminate``): min-degree over the
-        node tables, or the grouped route when a node is too wide to
-        tabulate or the plan is wider than BULK_NODE_BITS.  The factors
-        left are the new summary; it answers every query on the network,
-        and a network that extends this one reads it as it is.  It is
-        refused (None) only when this base is zero, when the unpinned
-        output classes number more than BULK_NODE_BITS (found before any
-        work), or when the run raises TooLarge.  The run is charged to
-        ``stats``.  Its node tables and grouped matrices come from this
-        base, so one not built yet is built and kept in it, as by any
-        query; nothing already in the base changes.
+        by the route a query takes (``_eliminate``): the confined wires
+        swept and min-degree over the rest of the node tables, or the
+        grouped route when a node is too wide to tabulate or the plan is
+        wider than BULK_NODE_BITS.  The factors left are the new summary;
+        it answers every query on the network, and a network that extends
+        this one reads it as it is.  It is refused (None) only when this
+        base is zero, when the unpinned output classes number more than
+        BULK_NODE_BITS (found before any work), or when the run raises
+        TooLarge.  The run is charged to ``stats``.  Its node tables and
+        grouped matrices come from this base, so one not built yet is
+        built and kept in it, as by any query; nothing already in the base
+        changes.
         """
         graph, rep = self.graph, self.rep
         shown = graph.inputs() + graph.out
@@ -691,12 +701,6 @@ class _Problem:
     def factors(self) -> list[Factor]:
         return list(self.base.summary) + [self.base.factor(v, live)
                                           for v, live in self.tabulated]
-
-    def vertices(self):
-        verts = set(self.ext_slots)
-        for scope in self.scopes:
-            verts.update(scope)
-        return verts
 
 
 def _query_base(net: MBN, stats: ElimStats) -> _Base:
@@ -849,15 +853,20 @@ def _apply_lazy(matrix: _Grouped, factors: list[Factor], stats: ElimStats
 
 
 def _sweep_confined(factors: list[Factor], protected: set[Wire],
-                    eliminated: list[Wire]) -> list[Factor]:
-    """Sum out unprotected wires confined to a single factor.
+                    eliminated: list[Wire], stats: ElimStats
+                    ) -> list[Factor]:
+    """Sum every unprotected wire confined to a single factor out of it,
+    in one reduction per factor, and list it in ``eliminated``.
 
-    Each grouped step strands wires whose every reader has already fired;
-    marginalizing them inside their own factor keeps later joins from
-    dragging the dead scope along.
+    This is the one confinement rule of both routes.  A wire that only one
+    factor holds adds no fill-in, so summing it inside that factor is what
+    any elimination of it would do, at the cost of a reduction instead of
+    a contraction, and later joins do not drag it along.  The factors seen
+    count towards ``stats.max_factor_wires`` before they shrink.
     """
     count: dict[Wire, int] = {}
     for f in factors:
+        stats.track(f.size)
         for w in f.wires:
             count[w] = count.get(w, 0) + 1
     swept: list[Factor] = []
@@ -871,7 +880,38 @@ def _sweep_confined(factors: list[Factor], protected: set[Wire],
         kept = tuple(w for w in f.wires if w not in dead)
         swept.append(Factor(kept, table))
         eliminated.extend(dead)
+        stats.swept += len(dead)
     return swept
+
+
+def _plan(scopes: Sequence[frozenset[Wire]],
+          internal: Sequence[Wire]) -> ElimOrder:
+    """The order in which factors over ``scopes`` lose ``internal``: first
+    every wire confined to one scope, which ``_run_plan`` sweeps out of its
+    factor, then min-degree over the wires that scopes share, planned over
+    the scopes without the swept ones.  No table is needed.
+
+    Sweeping adds no fill-in, so the width, that of the whole order
+    replayed over ``scopes``, is the widest scope or the plan's width.
+    """
+    count: dict[Wire, int] = {}
+    for scope in scopes:
+        for w in scope:
+            count[w] = count.get(w, 0) + 1
+    confined = frozenset(w for w in internal if count.get(w) == 1)
+    plan = _greedy_order((), [s - confined for s in scopes],
+                         [w for w in internal if w not in confined])
+    return ElimOrder(tuple(sorted(confined)) + plan.wires,
+                     max(plan.width, _scope_width(scopes)))
+
+
+def _run_plan(factors: list[Factor], plan: ElimOrder, protected: set[Wire],
+              stats: ElimStats) -> list[Factor]:
+    """Run ``plan`` (from ``_plan`` over these factors' scopes): sweep the
+    confined wires, then contract the planned ones in order."""
+    swept: list[Wire] = []
+    factors = _sweep_confined(factors, protected, swept, stats)
+    return _run(factors, plan.wires[len(swept):], stats)
 
 
 def _run_hybrid(problem: _Problem, stats: ElimStats
@@ -896,29 +936,20 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
         taken |= ins
         grouped.append((node, live))
     factors = problem.factors() + demoted
-    for f in factors:
-        stats.track(f.size)
     eliminated: list[Wire] = []
     for i, (node, live) in enumerate(grouped):
         protected = set(external)
         for later, later_live in grouped[i:]:
             protected.update(later.scope(pinned, later_live))
-        factors = _sweep_confined(factors, protected, eliminated)
+        factors = _sweep_confined(factors, protected, eliminated, stats)
         factors, consumed = _apply_lazy(base.matrix(node.index, live),
                                         factors, stats)
         eliminated.extend(consumed)
-    factors = _sweep_confined(factors, external, eliminated)
     done = set(eliminated)
-    remaining = tuple(w for w in problem.internal if w not in done)
-    verts = set(external)
-    scopes = []
-    for f in factors:
-        verts.update(f.wires)
-        scopes.append(frozenset(f.wires))
-    plan = _greedy_order(verts, scopes, remaining)
-    factors = _run(factors, plan.wires, stats)
-    eliminated.extend(plan.wires)
-    return factors, tuple(eliminated)
+    plan = _plan([frozenset(f.wires) for f in factors],
+                 [w for w in problem.internal if w not in done])
+    factors = _run_plan(factors, plan, external, stats)
+    return factors, tuple(eliminated) + plan.wires
 
 
 def _eliminate(base: _Base, out: Sequence[Wire], stats: ElimStats
@@ -927,22 +958,29 @@ def _eliminate(base: _Base, out: Sequence[Wire], stats: ElimStats
     with outputs ``out``, the factors its elimination leaves, and the
     order.
 
-    Min-degree over the node tables when no node is too wide to tabulate
-    and the plan is at most BULK_NODE_BITS wide (the limit of node tables
-    and summaries alike).  Otherwise every node over GROUP_NODE_BITS live
-    wires is kept as a matrix and contracted in a grouped step
-    (``_run_hybrid``); the order then lists the wires in the sequence
-    actually summed out and reports the realized width, and a zero base
-    runs nothing.  Both problems come from the same base, so escalating
-    prepares nothing twice, and no table is built before the route is
-    chosen.
+    The ordinary route runs when no node is too wide to tabulate and the
+    plan is at most BULK_NODE_BITS wide (the limit of node tables and
+    summaries alike).  Its plan (``_plan``) is made from the problem's
+    scopes, so no table is built before the route is chosen: every
+    unasked wire confined to one factor is swept out of it, and min-degree
+    orders the wires that factors share.  The order lists the swept wires,
+    then the planned ones, so it names every internal wire once, and its
+    width is that of the order replayed over the unswept scopes.
+
+    Otherwise every node over GROUP_NODE_BITS live wires is kept as a
+    matrix and contracted in a grouped step (``_run_hybrid``), which ends
+    by the same sweep and plan over the factors left; the order then lists
+    the wires in the sequence actually summed out and reports the realized
+    width, and a zero base runs nothing.  Both problems come from the same
+    base, so escalating prepares nothing twice.
     """
     problem = base.problem(out, BULK_NODE_BITS)
     if not problem.lazy:
-        plan = _greedy_order(problem.vertices(), problem.scopes,
-                             problem.internal)
+        plan = _plan(problem.scopes, problem.internal)
         if plan.width <= BULK_NODE_BITS:
-            return problem, _run(problem.factors(), plan.wires, stats), plan
+            left = _run_plan(problem.factors(), plan, set(problem.ext_slots),
+                             stats)
+            return problem, left, plan
     problem = base.problem(out, GROUP_NODE_BITS)
     if base.zero:
         return problem, [], ElimOrder((), 0)
@@ -1031,7 +1069,9 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     output when None, else the asked places in net order, each output
     outside them summed out).  It always folds dead outputs, merges
     diagonal wires and pins point masses, then eliminates the internal
-    wires by the route rule of ``_eliminate``.
+    wires by the route rule of ``_eliminate``: each unasked wire that one
+    factor alone holds is summed out inside it (``stats.swept``), and
+    min-degree plans and contracts the wires that factors share.
 
     The places are checked before anything is prepared: an unknown place,
     or places asked of a network without a place map, raises
@@ -1042,8 +1082,10 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     extends the base its parent held instead of building one from nothing.
     The first call sums the network out to its output wires; that
     elimination runs in this call and counts in the returned stats
-    (``contractions``, ``grouped_steps``, ``max_factor_wires``), so
-    ``max_factor_wires`` may exceed the order's width.
+    (``contractions``, ``grouped_steps``, ``swept``, ``max_factor_wires``),
+    so ``max_factor_wires`` may exceed the order's width.  A later call
+    runs no contraction unless a place it leaves out sits in two summary
+    factors.
     ``stats.summarized`` says whether the plan ran over a summary.
 
     Nodes whose factor would span more than BULK_NODE_BITS live wires are

@@ -140,7 +140,8 @@ def test_query_stats_prints_one_json_line_per_query(tmp_path, capsys):
         assert json.loads(line) == {
             **query, "width": order.width,
             "max_factor_wires": stats.max_factor_wires,
-            "contractions": stats.contractions, "grouped": False,
+            "contractions": stats.contractions, "swept": stats.swept,
+            "grouped": False,
             "summarized": stats.summarized}
 
     # a forced order reports that order's width

@@ -18,7 +18,7 @@ from pnbayes.errors import (BadOrder, MissingPlace, TooLarge, TypeMismatch,
 from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          prior_independent, prior_point, terminate,
                          uniform_prior)
-from pnbayes.randnet import random_trace
+from pnbayes.randnet import BenchConfig, bench_rows, random_trace
 from pnbayes.reason import ObservationTrace, dense_posterior, run
 
 import reference_nets as nets
@@ -344,6 +344,81 @@ def test_zero_posterior_evaluates_to_zero():
     marg = terminate(posterior, ["I"])
     mat, _, _ = scheduled_eliminate(marg)
     assert np.allclose(mat.to_dense(), 0.0)
+
+
+# -- the confinement rule -------------------------------------------------------
+
+def test_ordinary_orders_sweep_then_plan_every_internal_wire(monkeypatch):
+    """On the reference nets and the criterion-8 grid, every elimination
+    on the ordinary route, summaries and queries alike, sweeps exactly the
+    internal wires that one factor holds, lists them first, names every
+    internal wire once, and reports the width of its order replayed over
+    the unswept scopes."""
+    checked = []
+    route = eliminate._eliminate
+
+    def recorded(base, out, stats):
+        grouped, swept = stats.grouped_steps, stats.swept
+        problem, left, plan = route(base, out, stats)
+        if (problem.lazy or stats.grouped_steps != grouped
+                or plan.width > eliminate.BULK_NODE_BITS):
+            return problem, left, plan
+        count = {}
+        for scope in problem.scopes:
+            for w in scope:
+                count[w] = count.get(w, 0) + 1
+        confined = {w for w in problem.internal if count[w] == 1}
+        assert eliminate._order_problems(plan.wires,
+                                         problem.internal) == []
+        assert set(plan.wires[:len(confined)]) == confined
+        assert stats.swept - swept == len(confined)
+        assert plan.width == eliminate._replay_width((), problem.scopes,
+                                                     plan.wires)
+        checked.append(len(confined))
+        return problem, left, plan
+    monkeypatch.setattr(eliminate, "_eliminate", recorded)
+
+    for trace in (nets.gossip_trace(),
+                  nets.wide_trace(np.random.default_rng(0))):
+        posterior = run(trace)
+        posterior.marginals()
+        posterior.mass()
+    for net in (nets.fanin_mbn(), nets.star_mbn(4), nets.square_pair_mbn(2)):
+        for _ in range(2):
+            scheduled_eliminate(net)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        net = nets.random_mbn(rng)
+        if net is not None:
+            scheduled_eliminate(net)
+            scheduled_eliminate(net)
+    bench_rows(BenchConfig(places=(10, 15, 20, 25), trials=3, seed=0,
+                           engines=("mbn",)))
+    assert len(checked) > 50 and sum(checked) > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inputs_and_asked_outputs_are_never_swept(k):
+    """Two k -> k nodes in sequence: the inputs sit in the first node's
+    factor only and the outputs in the second's, then all of them in the
+    summary's.  Each is confined, yet as an input or an asked output of a
+    joint query it is never summed out; unasked outputs are."""
+    net = nets.square_pair_mbn(k)
+    places = tuple(f"y{i}" for i in range(k))
+    net = MBN(net.graph, net.ev, places)
+    assert net.graph.in_arity == k
+    want = eval_naive(net)
+    for read_summary in (False, True):
+        mat, order, stats = scheduled_eliminate(net)
+        assert stats.summarized and stats.swept == 0
+        assert mat.allclose(want, atol=1e-12)
+    # the joint over the summary factor has nothing left to eliminate
+    assert order.wires == () and stats.contractions == 0
+    for asked in (places[:1], places[1:]):
+        mat, order, stats = scheduled_eliminate(net, asked)
+        assert mat.allclose(eval_naive(terminate(net, asked)), atol=1e-12)
+        assert stats.contractions == 0
+        assert stats.swept == k - len(asked) == len(order.wires)
 
 
 # -- tree decompositions --------------------------------------------------------

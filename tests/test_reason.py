@@ -1,6 +1,7 @@
 """Observation traces, posteriors, and the trace file format."""
 import json
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -742,6 +743,39 @@ def test_queries_after_the_summary_match_the_dense_oracle(rng):
             want = normalize(marginal_of(dense, trace.net, [place]))
             assert vec.allclose(want, atol=1e-6)
         assert list(posterior.marginals(places[::-2])) == list(places[::-2])
+
+
+def test_a_query_over_a_pure_summary_contracts_only_shared_wires(rng):
+    """A posterior that holds a pure summary answers each query by summing
+    every unasked wire that one summary factor holds inside that factor,
+    so a query with no unasked wire shared between factors runs no
+    contraction.  Answers match the dense oracle to 1e-12."""
+    free = 0
+    for trace in _random_traces(rng, 8, places=7, transitions=9, steps=6):
+        dense = dense_posterior(trace)
+        posterior = run(trace)
+        places = trace.net.places
+        posterior.marginal([places[0]])
+        base = posterior.mbn.preparation
+        assert base.summary and not base.nodes
+        count = Counter(w for f in base.summary for w in f.wires)
+        for asked in [[p] for p in places] + [places[::2], places, []]:
+            raw, _, stats = posterior.query_stats(asked)
+            assert stats.summarized
+            wires = {base.rep[posterior.mbn.place_wire(p)] for p in asked}
+            unasked = [w for w in count if w not in wires]
+            assert stats.swept == sum(count[w] == 1 for w in unasked)
+            shared = any(count[w] > 1 for w in unasked)
+            assert (stats.contractions == 0) == (not shared)
+            free += not shared
+            if asked:
+                want = normalize(marginal_of(dense, trace.net, asked))
+                assert normalize(raw).allclose(want, atol=1e-12)
+            else:
+                assert raw.mass() == pytest.approx(dense.mass(), rel=1e-12,
+                                                   abs=0.0)
+        assert posterior.mbn.preparation is base
+    assert free >= 40
 
 
 def test_observe_on_a_summarized_parent_matches_run(rng):

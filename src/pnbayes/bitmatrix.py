@@ -9,8 +9,11 @@ tensor puts its first argument on the most significant bits, so it coincides
 with the Kronecker product.
 
 Three storage layouts are used behind one interface: dense arrays, bare
-diagonals for matrices known to be diagonal, and CSC sparse matrices for
-large-but-sparse maps such as marking updates on many places.
+diagonals for matrices known to be diagonal, and sparse entries for
+large-but-sparse maps such as marking updates on many places.  Sparse
+entries are kept as ``(rows, cols, values)`` column by column, rows
+ascending and each position once: the order of the CSC form, which is the
+order the elimination engine reads them in (``TypedMatrix.entries``).
 """
 from __future__ import annotations
 
@@ -82,10 +85,14 @@ class TypedMatrix:
             diag.flags.writeable = False
             self._diag = diag
         else:
-            sparse = sp.csc_matrix(sparse)
-            if sparse.shape != (1 << self.out_arity, 1 << self.in_arity):
-                raise InvalidArity("sparse shape does not match type")
-            self._sparse = sparse
+            # a scipy matrix, or coordinates (rows, cols, values)
+            if not isinstance(sparse, tuple):
+                if sparse.shape != (1 << self.out_arity, 1 << self.in_arity):
+                    raise InvalidArity("sparse shape does not match type")
+                coo = sp.coo_matrix(sparse)
+                sparse = (coo.row, coo.col, coo.data)
+            self._sparse = _column_major(*sparse, self.in_arity,
+                                         self.out_arity)
         if check:
             self._check_substochastic()
 
@@ -116,7 +123,7 @@ class TypedMatrix:
 
     def _check_substochastic(self) -> None:
         values = self._diag if self._diag is not None else (
-            self._dense if self._dense is not None else self._sparse.data)
+            self._dense if self._dense is not None else self._sparse[2])
         # entrywise, so a NaN, which every comparison rejects, fails too
         if not np.all((values >= -CONSTRUCT_EPS)
                       & (values <= 1 + CONSTRUCT_EPS)):
@@ -148,12 +155,24 @@ class TypedMatrix:
             return float(self._diag[x]) if x == y else 0.0
         if self._dense is not None:
             return float(self._dense[x, y])
-        return float(self._sparse[x, y])
+        return float(self.to_sparse()[x, y])
 
     def diag_vector(self) -> np.ndarray:
         if self._diag is None:
             raise TypeMismatch("matrix is not diagonal-flagged")
         return self._diag
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries as (rows, cols, values), column by column
+        with rows ascending: kept so when sparse, and read off the array
+        when dense or diagonal."""
+        if self._sparse is not None:
+            return self._sparse
+        if self._diag is not None:
+            idx = np.flatnonzero(self._diag)
+            return idx, idx, self._diag[idx]
+        cols, rows = np.nonzero(self._dense.T)
+        return rows, cols, self._dense[rows, cols]
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full array (guarded against exponential blowup)."""
@@ -165,11 +184,16 @@ class TypedMatrix:
             return self._dense
         if self._diag is not None:
             return np.diag(self._diag)
-        return self._sparse.toarray()
+        rows, cols, vals = self._sparse
+        dense = np.zeros((1 << self.out_arity, 1 << self.in_arity))
+        dense[rows, cols] = vals
+        return dense
 
     def to_sparse(self) -> sp.csc_matrix:
         if self._sparse is not None:
-            return self._sparse
+            rows, cols, vals = self._sparse
+            return sp.csc_matrix((vals, (rows, cols)), shape=(
+                1 << self.out_arity, 1 << self.in_arity))
         if self._diag is not None:
             return sp.diags(self._diag, format="csc")
         return sp.csc_matrix(self._dense)
@@ -179,7 +203,8 @@ class TypedMatrix:
             return self._diag
         if self._dense is not None:
             return self._dense.sum(axis=0)
-        return np.asarray(self._sparse.sum(axis=0)).ravel()
+        _, cols, vals = self._sparse
+        return np.bincount(cols, weights=vals, minlength=1 << self.in_arity)
 
     def is_substochastic(self, eps: float = STOCH_EPS) -> bool:
         sums = self.column_sums()
@@ -199,7 +224,9 @@ class TypedMatrix:
         elif self._dense is not None:
             out = self._dense @ p.data
         else:
-            out = self._sparse @ p.data
+            rows, cols, vals = self._sparse
+            out = np.bincount(rows, weights=vals * p.data[cols],
+                              minlength=1 << self.out_arity)
         return ProbVector(self.out_arity, out)
 
     def __eq__(self, other) -> bool:
@@ -321,6 +348,29 @@ def tensor(a: TypedMatrix, b: TypedMatrix) -> TypedMatrix:
         return _finalize_sparse(prod, n, m)
     return TypedMatrix(n, m, dense=np.kron(a.to_dense(), b.to_dense()),
                        check=False)
+
+
+def _column_major(rows, cols, vals, n: int, m: int):
+    """Coordinates of a ``2^m x 2^n`` matrix put column by column, rows
+    ascending, each position once; a position given twice sums in the
+    order given.  The sort is stable and merges presorted runs cheaply."""
+    if n + m > 63:
+        raise TooLarge(f"sparse index over {n + m} bits")
+    key = np.asarray(cols, dtype=np.int64) << m | rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.asarray(vals, dtype=np.float64)[order]
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        vals = np.bincount(np.cumsum(first) - 1, weights=vals)
+        key = key[first]
+    index = np.int32 if max(n, m) < 32 else np.int64
+    entries = ((key & ((1 << m) - 1)).astype(index),
+               (key >> m).astype(index), vals)
+    for a in entries:
+        a.flags.writeable = False
+    return entries
 
 
 def _finalize_sparse(mat, n: int, m: int) -> TypedMatrix:

@@ -325,26 +325,10 @@ def _gather_positions(streams, vals: np.ndarray, pinned: dict[Wire, int]
     return unique, flat, vals
 
 
-def _entries(mat: TypedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries as (rows, cols, values), column by column with
-    rows ascending: the order of the matrix's CSC form, built without it
-    when the matrix is dense or diagonal."""
-    if mat.is_sparse:
-        coo = mat.to_sparse().tocoo()
-        return coo.row, coo.col, coo.data
-    if mat.is_diagonal:
-        diag = mat.diag_vector()
-        idx = np.flatnonzero(diag)
-        return idx, idx, diag[idx]
-    dense = mat.to_dense()
-    cols, rows = np.nonzero(dense.T)
-    return rows, cols, dense[rows, cols]
-
-
 def _bit_streams(node: _Node):
     """A node's nonzero values with its sources and its live targets as
     ``(wire, index, shift)`` streams over the entries of its matrix."""
-    rows, cols, vals = _entries(node.mat)
+    rows, cols, vals = node.mat.entries()
     n, m = node.mat.in_arity, node.mat.out_arity
     sources = [(w, cols, n - 1 - j) for j, w in enumerate(node.src)]
     targets = [(w, rows, m - p)
@@ -436,7 +420,7 @@ def _is_point_mass(mat: TypedMatrix) -> int | None:
     """The unique output bitstring of a point-mass source, else None."""
     if mat.in_arity != 0:
         return None
-    rows, _, vals = _entries(mat)
+    rows, _, vals = mat.entries()
     heavy = np.flatnonzero(vals > POINT_EPS)
     if heavy.shape[0] == 1 and abs(vals[heavy[0]] - 1) <= POINT_EPS:
         return int(rows[heavy[0]])
@@ -893,16 +877,19 @@ def _plan(scopes: Sequence[frozenset[Wire]],
 
     Sweeping adds no fill-in, so the width, that of the whole order
     replayed over ``scopes``, is the widest scope or the plan's width.
+    When no wire is shared, the sweep is the whole plan.
     """
     count: dict[Wire, int] = {}
     for scope in scopes:
         for w in scope:
             count[w] = count.get(w, 0) + 1
     confined = frozenset(w for w in internal if count.get(w) == 1)
-    plan = _greedy_order((), [s - confined for s in scopes],
-                         [w for w in internal if w not in confined])
-    return ElimOrder(tuple(sorted(confined)) + plan.wires,
-                     max(plan.width, _scope_width(scopes)))
+    shared = [w for w in internal if w not in confined]
+    swept, width = tuple(sorted(confined)), _scope_width(scopes)
+    if not shared:
+        return ElimOrder(swept, width)
+    plan = _greedy_order((), [s - confined for s in scopes], shared)
+    return ElimOrder(swept + plan.wires, max(plan.width, width))
 
 
 def _run_plan(factors: list[Factor], plan: ElimOrder, protected: set[Wire],

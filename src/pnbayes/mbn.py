@@ -14,6 +14,7 @@ of the update never needs explicit permutation or identity nodes.  A
 success node reads the step's relevant places; a failure node reads only
 the pre-places of the step's support, since a failure says nothing but
 that no drawn transition was enabled (context-specific independence).
+Each step builds only the matrix it attaches, over those places alone.
 
 A network also carries its query preparation (``eliminate._Base``), built
 by its first prepared query.  Until then, a network returned by
@@ -26,13 +27,12 @@ query's cost does not grow with the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
-from .bitmatrix import (DENSIFY_BITS, ProbVector, TypedMatrix,
-                        _finalize_sparse)
+from .bitmatrix import DENSIFY_BITS, MAX_DENSE_BITS, ProbVector, TypedMatrix
 from .causality import CausalityGraph, Generator, Wire, node_graph, validate
 from .chain import OBSERVATIONS, SUCCESS
 from .errors import MissingPlace, TooLarge, TypeMismatch, ValidationError
@@ -133,15 +133,11 @@ def is_obn(net: MBN) -> bool:
     """An ordinary Bayesian network: closed, unary stochastic nodes, and a
     one-to-one correspondence between outputs and wires."""
     graph = net.graph
-    if graph.in_arity != 0:
-        return False
-    if any(g.out_arity != 1 for g in graph.gens):
-        return False
-    if len(set(graph.out)) != len(graph.out):
-        return False
-    if set(graph.out) != set(graph.wires()):
-        return False
-    return all(net.matrix(g.name).is_stochastic() for g in graph.gens)
+    return (graph.in_arity == 0
+            and all(g.out_arity == 1 for g in graph.gens)
+            and len(set(graph.out)) == len(graph.out)
+            and set(graph.out) == set(graph.wires())
+            and all(net.matrix(g.name).is_stochastic() for g in graph.gens))
 
 
 # -- priors ------------------------------------------------------------------
@@ -178,11 +174,10 @@ def prior_joint(net: CENet, p: ProbVector) -> MBN:
 
 def prior_point(net: CENet, marking) -> MBN:
     """Point-mass prior; stays sparse so huge nets are fine."""
-    mk = net.marking(marking).value
-    k = net.width
-    col = sp.csc_matrix(([1.0], ([mk], [0])), shape=(1 << k, 1))
-    gen = Generator("prior", 0, k)
-    return MBN(node_graph(gen), {"prior": _finalize_sparse(col, 0, k)},
+    mk, k = net.marking(marking).value, net.width
+    one = (np.array([mk]), np.zeros(1, dtype=np.int64), np.ones(1))
+    return MBN(node_graph(Generator("prior", 0, k)),
+               {"prior": TypedMatrix(0, k, sparse=one, check=False)},
                net.places)
 
 
@@ -192,11 +187,11 @@ def uniform_prior(net: CENet) -> MBN:
 
 # -- observation updates ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdatePair:
     """The success matrix P' over the relevant places ``sbar`` and the
     failure matrix F' over ``fail_places``, the pre-places of the step's
-    support (in ``sbar`` order).
+    support (in ``sbar`` order), each built when first read.
 
     A failure says only that no drawn transition was enabled, and
     enabledness reads the pre-places alone, so F' is constant along every
@@ -204,19 +199,73 @@ class UpdatePair:
     failure matrix over all of ``sbar``.
     """
 
-    pmat: TypedMatrix
-    fmat: TypedMatrix
     sbar: tuple[str, ...]
     fail_places: tuple[str, ...]
+    step: StepSpec = field(repr=False)
+    # each support transition's pre- and post-set as masks over sbar
+    masks: Mapping[str, tuple[int, int]] = field(repr=False)
 
     @property
     def ell(self) -> int:
         return len(self.sbar)
 
+    @cached_property
+    def pmat(self) -> TypedMatrix:
+        ell, size, step = self.ell, 1 << self.ell, self.step
+        idx, enabled, denom = _draws(
+            step, {t: pre for t, (pre, _) in self.masks.items()}, ell)
+        rows, cols, vals = [], [], []
+        for t, (pre, post) in self.masks.items():
+            en, w = enabled[t], step.weight(t)
+            src = idx[en]
+            rows.append((src & ~pre) | post)
+            cols.append(src)
+            # where t is enabled its own weight is in denom, so denom > 0
+            vals.append(np.full(src.shape[0], w) if denom is None
+                        else w / denom[en])
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        if not np.any(vals[rows != cols]):
+            return TypedMatrix.diagonal(
+                np.bincount(rows, weights=vals, minlength=size))
+        if 2 * ell <= DENSIFY_BITS:
+            dense = np.bincount(rows * size + cols, weights=vals,
+                                minlength=size * size).reshape(size, size)
+            return TypedMatrix(ell, ell, dense=dense, check=False)
+        return TypedMatrix(ell, ell, sparse=(rows, cols, vals), check=False)
+
+    @cached_property
+    def fmat(self) -> TypedMatrix:
+        # each pre-mask moved from sbar's bits onto those of fail_places
+        k, step = len(self.fail_places), self.step
+        at = [self.ell - 1 - self.sbar.index(p) for p in self.fail_places]
+        _, enabled, denom = _draws(step, {
+            t: sum(1 << (k - 1 - i) for i, b in enumerate(at) if pre >> b & 1)
+            for t, (pre, _) in self.masks.items()}, k)
+        if denom is not None:
+            fdiag = denom == 0
+        else:
+            fdiag = step.weight(FAIL) + sum(step.weight(t) * ~en
+                                            for t, en in enabled.items())
+        # sums of the step's validated weights, so within [0, 1] unchecked
+        return TypedMatrix(k, k, diag=fdiag, check=False)
+
+
+def _draws(step: StepSpec, pres: Mapping[str, int], bits: int):
+    """The sub-markings of ``bits`` places, each transition's enabledness
+    there by its pre-mask, and the stochastic semantics' denominator."""
+    if bits > MAX_DENSE_BITS:
+        raise TooLarge(f"update over {bits} places exceeds the "
+                       f"2^{MAX_DENSE_BITS} guard")
+    idx = np.arange(1 << bits, dtype=np.int64)
+    enabled = {t: (idx & pre) == pre for t, pre in pres.items()}
+    if step.semantics != STOCHASTIC:
+        return idx, enabled, None
+    return idx, enabled, sum(step.weight(t) * en for t, en in enabled.items())
+
 
 def build_update(net: CENet, step: StepSpec) -> UpdatePair:
-    """Construct P' over the relevant places of ``step`` and F' over the
-    pre-places of its support.
+    """The update of ``step``: P' over its relevant places and F' over the
+    pre-places of its support, each built when first read.
 
     This states the step semantics once.  At each sub-marking ``m`` of
     ``sbar`` the step draws transition ``t`` with probability rbar(m, t):
@@ -226,57 +275,14 @@ def build_update(net: CENet, step: StepSpec) -> UpdatePair:
     mass from ``m`` to the successor of ``t`` wherever ``t`` is enabled.
     F' is diagonal over the sub-markings of ``fail_places`` alone:
     ``fail``'s weight plus the weights drawn while disabled, or 1 where
-    nothing is enabled under the stochastic semantics.
+    nothing is enabled under the stochastic semantics.  A step builds only
+    the matrix it attaches, and one over more than MAX_DENSE_BITS places
+    raises TooLarge before it is allocated.
     """
     rel = relevant_sets(net, step)
-    ell = rel.ell
-    size = 1 << ell
-    idx = np.arange(size, dtype=np.int64)
-    enabled = {t: (idx & pre) == pre for t, (pre, _) in rel.masks.items()}
-    stochastic = step.semantics == STOCHASTIC
-    if stochastic:
-        denom = sum(step.weight(t) * en for t, en in enabled.items())
-    rows, cols, vals = [], [], []
-    for t, (pre, post) in rel.masks.items():
-        en, w = enabled[t], step.weight(t)
-        src = idx[en]
-        rows.append((src & ~pre) | post)
-        cols.append(src)
-        if stochastic:
-            # where t is enabled its own weight is in denom, so denom > 0
-            vals.append(w / denom[en])
-        else:
-            vals.append(np.full(src.shape[0], w))
-    rows, cols, vals = (np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals))
-    if not np.any(vals[rows != cols]):
-        pmat = TypedMatrix.diagonal(
-            np.bincount(rows, weights=vals, minlength=size))
-    elif 2 * ell <= DENSIFY_BITS:
-        dense = np.bincount(rows * size + cols, weights=vals,
-                            minlength=size * size)
-        pmat = TypedMatrix(ell, ell, dense=dense.reshape(size, size),
-                           check=False)
-    else:
-        mat = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-        pmat = _finalize_sparse(mat, ell, ell)
-    # F' reads only the pre-places.  The sub-markings of sbar that clear
-    # every other place stand for theirs, one each and in the same order.
-    union = 0
-    for pre, _ in rel.masks.values():
-        union |= pre
-    sub = idx[(idx & ~union) == 0]
-    if stochastic:
-        fdiag = denom[sub] == 0
-    else:
-        fdiag = step.weight(FAIL) + sum(step.weight(t) * ~en[sub]
-                                        for t, en in enabled.items())
-    fail_places = tuple(p for j, p in enumerate(rel.sbar)
-                        if union >> (ell - 1 - j) & 1)
-    # sums of the step's validated weights, so within [0, 1] unchecked
-    k = len(fail_places)
-    fmat = TypedMatrix(k, k, diag=fdiag, check=False)
-    return UpdatePair(pmat, fmat, rel.sbar, fail_places)
+    pre = set().union(*(net.transition(t).pre for t in rel.masks))
+    return UpdatePair(rel.sbar, tuple(p for p in rel.sbar if p in pre),
+                      step, rel.masks)
 
 
 def _fresh_update_name(net: MBN, obs: str, step_index: int | None) -> str:
@@ -296,9 +302,10 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
 
     On success the node evaluates to P' and reads the relevant places
     ``sbar``; on failure it evaluates to the diagonal F' and reads only
-    ``fail_places``, a 0-ary node when the support has no pre-places.
-    Those places' ports move to the new node; every other place keeps its
-    wire, which realizes the padded update without identity nodes.
+    ``fail_places``, a 0-ary node when the support has no pre-places; a
+    failure never builds P'.  Those places' ports move to the new node;
+    every other place keeps its wire, which realizes the padded update
+    without identity nodes.
 
     The result holds the query preparation ``net`` holds, copying nothing.
     Its first prepared query extends that preparation by the new node, so
@@ -313,10 +320,8 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
         raise ValidationError(f"unknown observation {obs!r}")
     if net.places is None:
         raise MissingPlace("cannot attach an update without a place map")
-    if obs == SUCCESS:
-        places, mat = up.sbar, up.pmat
-    else:
-        places, mat = up.fail_places, up.fmat
+    places, mat = ((up.sbar, up.pmat) if obs == SUCCESS
+                   else (up.fail_places, up.fmat))
     sources = tuple(net.place_wire(p) for p in places)
     name = _fresh_update_name(net, obs, step_index)
     v = net.graph.node_count
@@ -325,13 +330,9 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     new_out = tuple(
         Wire(v, port_of[p]) if p in port_of else w
         for p, w in zip(net.places, net.graph.out))
-    graph = CausalityGraph(net.graph.in_arity,
-                           net.graph.gens + (gen,),
-                           net.graph.sources + (sources,),
-                           new_out)
-    ev = dict(net.ev)
-    ev[name] = mat
-    return MBN(graph, ev, net.places, net.preparation)
+    graph = CausalityGraph(net.graph.in_arity, net.graph.gens + (gen,),
+                           net.graph.sources + (sources,), new_out)
+    return MBN(graph, {**net.ev, name: mat}, net.places, net.preparation)
 
 
 def kept_places(net: MBN, keep: Iterable[str]) -> tuple[str, ...]:
@@ -357,6 +358,5 @@ def terminate(net: MBN, keep: Iterable[str]) -> MBN:
     away; the result's outputs follow net declaration order.
     """
     kept = kept_places(net, keep)
-    new_out = tuple(net.place_wire(p) for p in kept)
-    graph = replace(net.graph, out=new_out)
+    graph = replace(net.graph, out=tuple(net.place_wire(p) for p in kept))
     return MBN(graph, net.ev, kept)

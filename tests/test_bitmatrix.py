@@ -168,3 +168,25 @@ def test_to_dense_guard():
     big = TypedMatrix.sparse(sp.eye(1 << 14, format="csc"), 14, 14)
     with pytest.raises(TooLarge):
         big.to_dense()
+
+
+def test_sparse_coordinates_are_kept_column_major():
+    """Coordinates in any order, a position given more than once, become
+    the entries of the CSC form: column by column, rows ascending, each
+    position once, duplicates summed in the order given."""
+    import scipy.sparse as sp
+    rows = np.array([3, 0, 1, 3, 0, 2, 1])
+    cols = np.array([1, 2, 0, 1, 0, 3, 0])
+    vals = np.array([0.125, 0.25, 0.5, 0.25, 0.375, 1.0, 0.125])
+    mat = TypedMatrix(2, 2, sparse=(rows, cols, vals))
+    csc = sp.csc_matrix((vals, (rows, cols)), shape=(4, 4)).tocoo()
+    got = mat.entries()
+    for a, b in zip(got, (csc.row, csc.col, csc.data)):
+        assert np.array_equal(a, b)
+    dense = csc.toarray()
+    assert np.array_equal(mat.to_dense(), dense)
+    assert np.array_equal(mat.column_sums(), dense.sum(axis=0))
+    p = ProbVector(2, [0.1, 0.2, 0.3, 0.4])
+    assert np.allclose(mat.apply(p).data, dense @ p.data, atol=1e-15)
+    assert mat.entry(3, 1) == 0.375 and mat.entry(2, 1) == 0.0
+    assert mat == TypedMatrix.sparse(sp.csr_matrix(dense), 2, 2)

@@ -1,17 +1,24 @@
 """Modular networks: priors, naive evaluation, observation updates."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from pnbayes import reason
 from pnbayes.bitmatrix import (ProbVector, TypedMatrix, compose, identity,
                                normalize, tensor)
 from pnbayes.causality import Generator, Wire
 from pnbayes.chain import build_F, build_P, marginal_of, replay_trace
+from pnbayes.cli import main
 from pnbayes.errors import MissingPlace, TooLarge, ValidationError
 from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          is_obn, prior_independent, prior_joint, prior_point,
                          terminate, uniform_prior, validate_mbn)
-from pnbayes.petri import CENet, StepSpec, Transition
-from pnbayes.randnet import random_net, random_step
+from pnbayes.petri import (CENet, StepSpec, Transition, net_to_json,
+                           relevant_sets)
+from pnbayes.randnet import BenchConfig, random_net, random_step, random_trace
 from pnbayes.reason import PriorSpec
 
 import reference_nets as nets
@@ -63,7 +70,6 @@ def test_eval_naive_matches_matrix_algebra():
 
 
 def test_eval_naive_marginalizes_hidden_outputs():
-    from dataclasses import replace
     net = nets.star_mbn(3)
     # dropping every output leaves the total mass, a 0 -> 0 scalar
     closed = MBN(replace(net.graph, out=()), net.ev)
@@ -207,3 +213,144 @@ def test_terminate_marginalizes(gossip_net, gossip_step):
         terminate(posterior, ["K9"])
     with pytest.raises(MissingPlace):
         terminate(MBN(posterior.graph, posterior.ev), ["K3"])
+
+
+def _full_update(net, step):
+    """The reference update, both matrices built over all 2^ell
+    sub-markings of S-bar: P' summed through scipy's CSC form and read
+    back as its entries, F' read off the sub-markings that clear every
+    place outside the pre-places."""
+    rel = relevant_sets(net, step)
+    idx = np.arange(1 << rel.ell, dtype=np.int64)
+    enabled = {t: (idx & pre) == pre for t, (pre, _) in rel.masks.items()}
+    stochastic = step.semantics == "stochastic"
+    denom = sum(step.weight(t) * en for t, en in enabled.items())
+    rows, cols, vals = [], [], []
+    for t, (pre, post) in rel.masks.items():
+        en, w = enabled[t], step.weight(t)
+        src = idx[en]
+        rows.append((src & ~pre) | post)
+        cols.append(src)
+        vals.append(w / denom[en] if stochastic else np.full(src.shape[0], w))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    coo = sp.csc_matrix((vals, (rows, cols)),
+                        shape=(idx.shape[0],) * 2).tocoo()
+    union = 0
+    for pre, _ in rel.masks.values():
+        union |= pre
+    sub = idx[(idx & ~union) == 0]
+    if stochastic:
+        fdiag = denom[sub] == 0
+    else:
+        fdiag = step.weight("fail") + sum(step.weight(t) * ~en[sub]
+                                          for t, en in enabled.items())
+    return (coo.row, coo.col, coo.data), np.asarray(fdiag, dtype=np.float64)
+
+
+def _grid_updates():
+    """Every step of the criterion-8 grid under both semantics."""
+    for semantics in ("independent", "stochastic"):
+        cfg = BenchConfig(places=(10, 15, 20, 25), trials=3, seed=0,
+                          semantics=semantics)
+        for k in cfg.places:
+            for trial in range(cfg.trials):
+                rng = np.random.default_rng([cfg.seed, k, trial])
+                n_trans = int(rng.choice(np.asarray(cfg.transitions)))
+                trace = random_trace(rng, k, n_trans, cfg.steps, semantics,
+                                     cfg.max_pre, cfg.max_post,
+                                     cfg.max_active)
+                yield from ((trace.net, step) for step, _ in trace.steps)
+
+
+def test_update_matches_the_full_construction(gossip_net, gossip_step, rng):
+    """F' over the pre-places alone equals the full construction's bit for
+    bit, and P' has the same entries in the same column-major order with
+    bit-identical values, a position two transitions reach included."""
+    cases = ([(gossip_net, gossip_step),
+              (nets.detector_net(), nets.detector_step(0.1, 0.7))]
+             + _update_cases(gossip_net, gossip_step, rng)
+             + list(_grid_updates()))
+    layouts = set()
+    for net, step in cases:
+        (rows, cols, vals), fdiag = _full_update(net, step)
+        up = build_update(net, step)
+        assert up.fmat.diag_vector().tobytes() == fdiag.tobytes()
+        got = up.pmat.entries()
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert got[2].tobytes() == vals.tobytes()
+        layouts.add("diagonal" if up.pmat.is_diagonal else
+                    "sparse" if up.pmat.is_sparse else "dense")
+    assert layouts == {"diagonal", "dense", "sparse"}
+
+
+def test_a_step_builds_only_the_matrix_it_attaches(gossip_net, gossip_step):
+    up = build_update(gossip_net, gossip_step)
+    assert "pmat" not in vars(up) and "fmat" not in vars(up)
+    attach_update(uniform_prior(gossip_net), up, "failure")
+    assert "pmat" not in vars(up) and "fmat" in vars(up)
+    up = build_update(gossip_net, gossip_step)
+    attach_update(uniform_prior(gossip_net), up, "success")
+    assert "pmat" in vars(up) and "fmat" not in vars(up)
+
+
+@pytest.mark.parametrize("all_failures", [True, False])
+def test_run_builds_p_once_per_success(monkeypatch, all_failures):
+    """P' is cached on its update once built, so the updates holding one
+    count the P' builds: none on an all-failure trace, one per success on
+    a mixed one."""
+    built = []
+
+    def recording(net, step):
+        built.append(build_update(net, step))
+        return built[-1]
+    monkeypatch.setattr(reason, "build_update", recording)
+    trace = random_trace(np.random.default_rng(8), 6, 8, 12, "independent")
+    if all_failures:
+        trace = replace(trace, steps=tuple(
+            (step, "failure") for step, _ in trace.steps))
+    successes = sum(obs == "success" for _, obs in trace.steps)
+    assert successes == 0 if all_failures else 0 < successes < 12
+    joint = reason.run(trace).joint()
+    assert sum("pmat" in vars(up) for up in built) == successes
+    assert sum("fmat" in vars(up) for up in built) == 12 - successes
+    ref = normalize(replay_trace(trace.net, trace.prior.as_vector(trace.net),
+                                 list(trace.steps)))
+    assert np.allclose(joint.data, ref.data, rtol=0.0, atol=1e-12)
+
+
+def _forty_place_step():
+    """A net of 40 places whose step moves tokens across all of them, while
+    its support reads two: S-bar has 40 places, the pre-places two."""
+    places = [f"p{i}" for i in range(40)]
+    net = CENet(places, [("a", ["p0"], places[2:21]),
+                         ("b", ["p1"], places[21:])])
+    step = StepSpec("independent", {"a": 0.3, "b": 0.4, "fail": 0.3})
+    return net, step
+
+
+def test_a_failure_over_many_places_builds_only_its_pre_places():
+    net, step = _forty_place_step()
+    q = {p: 0.2 + 0.015 * i for i, p in enumerate(net.places)}
+    up = build_update(net, step)
+    assert up.ell == 40 and up.fail_places == ("p0", "p1")
+    posterior = reason.Posterior(net, attach_update(
+        prior_independent(net, q), up, "failure"))
+    assert up.fmat.in_arity == 2 and "pmat" not in vars(up)
+    # P(fail | m) = 0.3 + 0.3 [p0 clear] + 0.4 [p1 clear]
+    q0, q1 = q["p0"], q["p1"]
+    expected = (q0 * (0.3 + 0.4 * (1 - q1))
+                / (0.3 + 0.3 * (1 - q0) + 0.4 * (1 - q1)))
+    got = posterior.marginal(["p0"]).entry(1)
+    assert abs(got - expected) <= 1e-12 * expected
+    with pytest.raises(TooLarge, match="update over 40 places"):
+        attach_update(prior_independent(net, q), up, "success")
+
+
+def test_a_success_over_too_many_places_exits_with_the_guard_code(tmp_path):
+    net, step = _forty_place_step()
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({
+        "net": net_to_json(net), "prior": {p: 0.5 for p in net.places},
+        "steps": [{"weights": step.weights, "obs": obs}
+                  for obs in ("failure", "success")]}))
+    assert main(["query", str(trace), "--marginal", "p0"]) == 4

@@ -12,9 +12,8 @@ configurable limit.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .bitmatrix import ProbVector, TypedMatrix, _finalize_sparse, normalize
+from .bitmatrix import DENSIFY_BITS, ProbVector, TypedMatrix, normalize
 from .errors import TooLarge, ValidationError
 from .petri import FAIL, INDEPENDENT, STOCHASTIC, CENet, StepSpec
 
@@ -50,7 +49,9 @@ def _stochastic_denominator(net: CENet, step: StepSpec,
 
 def build_P(net: CENet, step: StepSpec,
             limit: int = DEFAULT_PLACE_LIMIT) -> TypedMatrix:
-    """The success matrix: ``P(m'|m)`` sums ``r(m,t)`` over firings m => m'."""
+    """The success matrix: ``P(m'|m)`` sums ``r(m,t)`` over firings m => m'.
+
+    Dense up to DENSIFY_BITS, else kept as its entry list."""
     _guard(net, limit)
     k = net.width
     idx = _index_array(k)
@@ -69,12 +70,15 @@ def build_P(net: CENet, step: StepSpec,
         rows.append(tgt)
         cols.append(src)
         vals.append(w)
-    mat = sp.csc_matrix(
-        (np.concatenate(vals) if vals else [],
-         (np.concatenate(rows) if rows else [],
-          np.concatenate(cols) if cols else [])),
-        shape=(1 << k, 1 << k))
-    return _finalize_sparse(mat, k, k)
+    rows, cols, vals = (np.concatenate(a) if a else np.zeros(0, np.int64)
+                        for a in (rows, cols, vals))
+    size = idx.shape[0]
+    if 2 * k <= DENSIFY_BITS:
+        dense = np.bincount(rows.astype(np.int64) * size + cols,
+                            weights=vals, minlength=size * size)
+        return TypedMatrix(k, k, dense=dense.reshape(size, size),
+                           check=False)
+    return TypedMatrix(k, k, sparse=(rows, cols, vals), check=False)
 
 
 def build_F(net: CENet, step: StepSpec,

@@ -15,22 +15,24 @@ The query path (``scheduled_eliminate``) always applies four rewrites
 from the evaluation-scheduling playbook: diagonal nodes merge their
 input/output wires into equivalence classes instead of doubling factor
 arity, node outputs that nobody reads are summed out of their producing
-factor, point-mass source nodes pin their wires to constants so factors
-shrink by slicing, and every unasked wire confined to one factor is
-summed out of it in one reduction per factor before min-degree plans the
-wires that factors share (``_plan``, ``_sweep_confined``).  So a query
-over a summary runs no contraction unless a wire it leaves out sits in two
-summary factors.  Runs over an explicit order (``run_elimination``) apply
-none of them, except the diagonal merge on request.
+factor, source nodes whose one nonzero entry is exactly 1.0 (point masses)
+pin their wires to constants so factors shrink by slicing, and every
+unasked wire confined to one factor is summed out of it in one reduction
+per factor before min-degree plans the wires that factors share
+(``_plan``, ``_sweep_confined``).  So a query over a summary runs no
+contraction unless a wire it leaves out sits in two summary factors.
+Runs over an explicit order (``run_elimination``) apply none of them,
+except the diagonal merge on request.
 
 Preparation comes in two halves.  The base (``_Base``) depends only on
 the network: the merged wire classes, the pins, the classes some node
-reads, and each node's factor over every target that is read or is an
-output, or its sparse matrix over a query's live targets when a grouped
-step contracts it.  Both are built from one reader of the node's matrix
-entries.  A query derives its problem from the base cheaply: it sums the
-outputs it drops out of their factors and picks the nodes to keep as
-matrices.
+reads, and one cache of node products, each node's table or, when a
+grouped step contracts it, its sparse matrix.  A product spans the node's
+targets live in the query that asks for it, those some node reads or the
+query outputs, and is built once per (kind, node, live targets) from one
+reader of the node's matrix entries.  A query derives its problem from the
+base cheaply: it marks each node's live targets and picks the nodes to
+keep as matrices.
 
 The base lives on the network (``MBN.preparation``), so every query on
 the network shares it.  A network's first query builds its base and at
@@ -39,8 +41,8 @@ base is replaced by the factors left over the output classes, so that
 query and every later marginal, mass or joint query on the network plan
 over the summary factors alone, within BULK_NODE_BITS wires.  The summary
 is refused only when the network has more than BULK_NODE_BITS unpinned
-output classes, when its point masses conflict, or when its elimination
-raises TooLarge; the base then keeps its node records.
+output classes, or when its elimination raises TooLarge; the base then
+keeps its node records.
 
 A network from ``mbn.attach_update`` holds its parent's base until its
 first query, which extends that base as it is by the new node, then sums
@@ -48,8 +50,9 @@ the result out in turn.  Along an online chain each held base is the
 parent's summary, so a query plans and contracts about places plus one
 node's wires however long the trace.  Where the summary is refused, the
 new base takes the parent's node records over as they are, sharing their
-tables.  This is the interface (frontier) idea of filtering in dynamic
-Bayesian networks.
+products; an older node that now keeps other targets asks for a product
+under its own key.  This is the interface (frontier) idea of filtering in
+dynamic Bayesian networks.
 
 Nodes whose factor would span more than BULK_NODE_BITS wires (sparse
 update matrices over many places) are never tabulated, and neither is a
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -80,7 +83,6 @@ from .causality import (CausalityGraph, Generator, Wire, seq, tensor,
 from .errors import BadOrder, TooLarge, TypeMismatch, ValidationError
 from .mbn import MBN, kept_places
 
-POINT_EPS = 1e-12
 MAX_FACTOR_BITS = kernels.MAX_CONTRACT_BITS
 # node factors over more live wires than this are never tabulated; they stay
 # sparse matrices and are contracted by one grouped step each.  A plan, and
@@ -325,40 +327,43 @@ def _gather_positions(streams, vals: np.ndarray, pinned: dict[Wire, int]
     return unique, flat, vals
 
 
-def _bit_streams(node: _Node):
-    """A node's nonzero values with its sources and its live targets as
-    ``(wire, index, shift)`` streams over the entries of its matrix."""
+def _bit_streams(node: _Node, live: Sequence[bool]):
+    """A node's nonzero values with its sources and its ``live`` targets
+    as ``(wire, index, shift)`` streams over the entries of its matrix."""
     rows, cols, vals = node.mat.entries()
     n, m = node.mat.in_arity, node.mat.out_arity
     sources = [(w, cols, n - 1 - j) for j, w in enumerate(node.src)]
     targets = [(w, rows, m - p)
-               for p, (w, alive) in enumerate(zip(node.tgt, node.live), 1)
+               for p, (w, alive) in enumerate(zip(node.tgt, live), 1)
                if alive]
     return vals, sources, targets
 
 
-def _node_factor(node: _Node, pinned: dict[Wire, int]) -> Factor:
-    """Build a node's factor over its source wires and live target wires.
+def _node_factor(node: _Node, live: tuple[bool, ...],
+                 pinned: dict[Wire, int]) -> Factor:
+    """Build a node's factor over its source wires and ``live`` targets.
 
-    Dead target wires (read by nobody, not outputs) are summed out on the
-    fly; the construction walks the matrix nonzeros, so large sparse
-    updates never materialize a dense table over all their wires.  A
-    diagonal node's sources are its merged input/output classes.
+    Dead target wires are summed out on the fly; the construction walks
+    the matrix nonzeros, so large sparse updates never materialize a dense
+    table over all their wires.  A diagonal node's sources are its merged
+    input/output classes.
     """
-    vals, sources, targets = _bit_streams(node)
+    vals, sources, targets = _bit_streams(node, live)
     unique, flat, vals = _gather_positions(sources + targets, vals, pinned)
     table = np.bincount(flat, weights=vals, minlength=1 << len(unique))
     return Factor(tuple(unique), table)
 
 
-def _node_matrix(node: _Node, pinned: dict[Wire, int]) -> _Grouped:
-    """The node's matrix as rows over live targets, columns over sources.
+def _node_matrix(node: _Node, live: tuple[bool, ...],
+                 pinned: dict[Wire, int]) -> _Grouped:
+    """The node's matrix as rows over ``live`` targets, columns over
+    sources.
 
     Dead targets are summed out and pinned wires sliced away, both by
     leaving coordinate duplicates for the product to sum; wires index bits
     in ascending order on each side.
     """
-    vals, sources, targets = _bit_streams(node)
+    vals, sources, targets = _bit_streams(node, live)
     ins, cols, vals = _gather_positions(sources, vals, pinned)
     outs, rows, vals = _gather_positions(targets, vals, pinned)
     keep = vals != 0.0
@@ -394,22 +399,20 @@ class ElimStats:
 class _Node:
     """One node's matrix over representative wire classes.
 
-    ``live`` marks the targets its factor keeps; a dead target is summed
-    out.  A diagonal node lists its merged input/output classes as ``src``
-    and has no targets of its own.
+    A diagonal node lists its merged input/output classes as ``src`` and
+    has no targets of its own.
     """
 
     index: int
     mat: TypedMatrix
     src: tuple[Wire, ...]
     tgt: tuple[Wire, ...]
-    live: tuple[bool, ...]
     diagonal: bool = False
 
     def scope(self, pinned: dict[Wire, int],
-              live: Sequence[bool] | None = None) -> frozenset[Wire]:
-        """The unpinned wires of the node's factor."""
-        live = self.live if live is None else live
+              live: Sequence[bool]) -> frozenset[Wire]:
+        """The unpinned wires of the node's factor over its ``live``
+        targets."""
         wires = {w for w in self.src if w not in pinned}
         wires.update(w for w, alive in zip(self.tgt, live)
                      if alive and w not in pinned)
@@ -417,12 +420,13 @@ class _Node:
 
 
 def _is_point_mass(mat: TypedMatrix) -> int | None:
-    """The unique output bitstring of a point-mass source, else None."""
+    """The output bitstring of a source whose one nonzero entry is exactly
+    1.0, else None: a mass however small elsewhere is not pinned away."""
     if mat.in_arity != 0:
         return None
     rows, _, vals = mat.entries()
-    heavy = np.flatnonzero(vals > POINT_EPS)
-    if heavy.shape[0] == 1 and abs(vals[heavy[0]] - 1) <= POINT_EPS:
+    heavy = np.flatnonzero(vals)
+    if heavy.shape[0] == 1 and vals[heavy[0]] == 1.0:
         return int(rows[heavy[0]])
     return None
 
@@ -431,28 +435,28 @@ class _Base:
     """The query-independent half of preparing a network.
 
     It holds the merged diagonal wire classes, the point-mass pins, the
-    classes some node reads, and each node's factor, or its sparse matrix
-    for a grouped step, once a query first asks for it.  A ``query`` base
-    pins point masses, and its factors span the node's targets that are
-    read or are outputs of the network.  A query that drops an output sums
-    it out of its single producing factor, which is what folding it at
-    construction would give.  A matrix spans the targets live in the query
-    that asks for it, one per set of them (``matrix``), so a dropped output
-    is summed out inside it, as on the terminated network.  Without ``query``
-    (runs over an explicit order) nothing is pinned or folded.  A node
-    whose base factor would span more than BULK_NODE_BITS wires is not
-    kept; each query that needs its table builds its own.
+    classes some node reads, the node records, and every node product a
+    query asked for: a node's table (``factor``) or its sparse matrix for a
+    grouped step (``matrix``).  Each is built over the targets live in the
+    query that asks for it, those some node reads or the query outputs, so
+    a target the query drops is summed out inside it, as on the network
+    terminated at the query's places.  Both kinds sit in one cache keyed by
+    (kind, node, live targets), and each key is built once; only a table
+    over more than BULK_NODE_BITS wires is built per use and not kept.  A
+    ``query`` base pins point masses; without ``query`` (runs over an
+    explicit order) nothing is pinned and every target is live.
 
     A base is built node by node on top of a ``parent`` base, or of the
     empty base.  The parent's records are taken as they are, which is
     right when the network's first nodes are the parent's (see
-    ``_extends``), the new nodes read only wires the parent knows
-    (``_knows``), and no older target changes between read-or-output and
-    dead (``kept``).  Adding later nodes never changes an older class:
-    each new wire joins the class of a wire it is merged with, and it is
-    larger than every older wire, so the smallest wire stays the
-    representative.  The parent's cached tables and matrices are shared;
-    the dicts that hold them are copied.
+    ``_extends``) and the new nodes read only wires the parent knows
+    (``_knows``).  Adding later nodes never changes an older class: each
+    new wire joins the class of a wire it is merged with, and it is larger
+    than every older wire, so the smallest wire stays the representative.
+    The new nodes read more classes, so an older node may keep other
+    targets than it did in the parent; it then asks for its own key, and a
+    product built for other live targets is never read.  The parent's
+    cached products are shared; the dict that holds them is copied.
 
     A base may also hold ``summary`` factors: the network, or the older one
     it extends, summed out to its output classes (see ``summarized``).
@@ -470,18 +474,15 @@ class _Base:
             first, fresh = 0, list(graph.inputs())
             rep: dict[Wire, Wire] = {}
             pinned: dict[Wire, int] = {}
-            zero, read = False, set()
+            read: set[Wire] = set()
             nodes: dict[int, _Node] = {}
-            tables: dict[int, Factor] = {}
-            matrices: dict[tuple[int, tuple[bool, ...]], _Grouped] = {}
+            built: dict[tuple[str, int, tuple[bool, ...]], object] = {}
             summary: tuple[Factor, ...] = ()
         else:
             first, fresh = parent.graph.node_count, []
             rep, pinned = dict(parent.rep), dict(parent.pinned)
-            zero, read = parent.zero, set(parent.read)
-            nodes = dict(parent.nodes)
-            tables, matrices = dict(parent._tables), dict(parent._matrices)
-            summary = parent.summary
+            read, nodes = set(parent.read), dict(parent.nodes)
+            built, summary = dict(parent._built), parent.summary
         added = range(first, graph.node_count)
         for v in added:
             fresh.extend(graph.ports(v))
@@ -498,6 +499,9 @@ class _Base:
         for w in fresh:
             rep[w] = uf.find(w)
 
+        # classes merge only through a diagonal node's input and its own
+        # output, so each holds one wire no diagonal node wrote; a point
+        # mass is never diagonal, so no class is pinned twice
         skipped = set()
         if query:
             for v in added:
@@ -509,37 +513,27 @@ class _Base:
                 skipped.add(v)
                 m = graph.gens[v].out_arity
                 for p in range(1, m + 1):
-                    bit = (point >> (m - p)) & 1
-                    w = rep[Wire(v, p)]
-                    if pinned.setdefault(w, bit) != bit:
-                        zero = True
+                    pinned[rep[Wire(v, p)]] = (point >> (m - p)) & 1
 
         read.update(rep[w] for v in added if v not in skipped
                     for w in graph.sources[v])
-        kept = read | {rep[w] for w in graph.out}
         for v in added:
             if v in skipped:
                 continue
             gen = graph.gens[v]
-            mat = net.matrix(gen.name)
             src = tuple(rep[w] for w in graph.sources[v])
-            if v in diagonal_nodes:
-                nodes[v] = _Node(v, mat, src, (), (), diagonal=True)
-                continue
-            tgt = tuple(rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
-            live = tuple(not query or w in kept for w in tgt)
-            nodes[v] = _Node(v, mat, src, tgt, live)
+            tgt = () if v in diagonal_nodes else tuple(
+                rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
+            nodes[v] = _Node(v, net.matrix(gen.name), src, tgt,
+                             diagonal=v in diagonal_nodes)
         self.graph = graph
         self.ev = net.ev
         self.rep = rep
         self.pinned = pinned
-        self.zero = zero
         self.query = query
         self.read = read
-        self.kept = kept
         self.nodes = nodes
-        self._tables = tables
-        self._matrices = matrices
+        self._built = built
         self.summary = summary
 
     def _extends(self, net: MBN) -> bool:
@@ -571,18 +565,17 @@ class _Base:
         grouped route when a node is too wide to tabulate or the plan is
         wider than BULK_NODE_BITS.  The factors left are the new summary;
         it answers every query on the network, and a network that extends
-        this one reads it as it is.  It is refused (None) only when this
-        base is zero, when the unpinned output classes number more than
-        BULK_NODE_BITS (found before any work), or when the run raises
-        TooLarge.  The run is charged to ``stats``.  Its node tables and
-        grouped matrices come from this base, so one not built yet is
-        built and kept in it, as by any query; nothing already in the base
-        changes.
+        this one reads it as it is.  It is refused (None) only when the
+        unpinned output classes number more than BULK_NODE_BITS (found
+        before any work), or when the run raises TooLarge.  The run is
+        charged to ``stats``.  Its node tables and grouped matrices come
+        from this base, so one not built yet is built and kept in it, as by
+        any query; nothing already in the base changes.
         """
         graph, rep = self.graph, self.rep
         shown = graph.inputs() + graph.out
         classes = {rep[w] for w in graph.out} - self.pinned.keys()
-        if self.zero or len(classes) > BULK_NODE_BITS:
+        if len(classes) > BULK_NODE_BITS:
             return None
         try:
             _, left, _ = _eliminate(self, graph.out, stats)
@@ -593,8 +586,7 @@ class _Base:
             f.table.flags.writeable = False
         base = copy.copy(self)
         base.rep = {w: rep[w] for w in shown}
-        base.read, base.kept = set(), {rep[w] for w in graph.out}
-        base.nodes, base._tables, base._matrices = {}, {}, {}
+        base.read, base.nodes, base._built = set(), {}, {}
         base.summary = tuple(left)
         return base
 
@@ -603,8 +595,10 @@ class _Base:
         """The elimination problem of the base network with only the
         output wires ``out``.
 
-        Nodes whose factor would span more than ``bulk_bits`` live wires
-        are kept as matrices (``lazy``).  No table is built here.
+        A node's live targets are those some node reads or ``out`` holds,
+        or all of them without ``query``.  Nodes whose factor would span
+        more than ``bulk_bits`` live wires are kept as matrices (``lazy``).
+        No table is built here.
         """
         graph, rep, pinned = self.graph, self.rep, self.pinned
         kept = self.read | {rep[w] for w in out}
@@ -613,9 +607,7 @@ class _Base:
         lazy: list[tuple[int, tuple[bool, ...]]] = []
         in_factors: set[Wire] = set().union(*scopes)
         for node in self.nodes.values():
-            live = node.live
-            if self.query:
-                live = tuple(w in kept for w in node.tgt)
+            live = tuple(not self.query or w in kept for w in node.tgt)
             scope = node.scope(pinned, live)
             in_factors.update(scope)
             if (bulk_bits is not None and not node.diagonal
@@ -633,37 +625,27 @@ class _Base:
                         graph.in_arity, len(out), lazy)
 
     def factor(self, index: int, live: tuple[bool, ...]) -> Factor:
-        """Node ``index``'s factor over its ``live`` targets."""
-        node = self.nodes[index]
-        full = self._tables.get(index)
-        if full is None:
-            if (not node.diagonal
-                    and len(node.scope(self.pinned)) > BULK_NODE_BITS):
-                return _node_factor(replace(node, live=live), self.pinned)
-            full = _node_factor(node, self.pinned)
+        """Node ``index``'s table over its ``live`` targets, built once per
+        key; one over more than BULK_NODE_BITS wires (a grouped node that
+        ``_run_hybrid`` demotes) is not kept."""
+        key = ("factor", index, live)
+        got = self._built.get(key)
+        if got is None:
+            got = _node_factor(self.nodes[index], live, self.pinned)
             # shared by every query on this base, so never written to
-            full.table.flags.writeable = False
-            self._tables[index] = full
-        dead = tuple(full.wires.index(w) for w, was, alive
-                     in zip(node.tgt, node.live, live) if was and not alive)
-        if not dead:
-            return full
-        table = full.table.reshape((2,) * full.size).sum(axis=dead).ravel()
-        wires = tuple(w for a, w in enumerate(full.wires) if a not in dead)
-        return Factor(wires, table)
+            got.table.flags.writeable = False
+            if got.size <= BULK_NODE_BITS:
+                self._built[key] = got
+        return got
 
     def matrix(self, index: int, live: tuple[bool, ...]) -> _Grouped:
-        """Node ``index``'s matrix for a grouped step, over its ``live``
-        targets: those the query's factors read or its outputs are, so a
-        target nobody reads is summed out inside the matrix, as on the
-        network terminated at the query's places.  Cached per
-        ``(index, live)``."""
-        key = (index, live)
-        got = self._matrices.get(key)
+        """Node ``index``'s matrix for a grouped step over its ``live``
+        targets, built once per key."""
+        key = ("matrix", index, live)
+        got = self._built.get(key)
         if got is None:
-            got = _node_matrix(replace(self.nodes[index], live=live),
-                               self.pinned)
-            self._matrices[key] = got
+            got = _node_matrix(self.nodes[index], live, self.pinned)
+            self._built[key] = got
         return got
 
 
@@ -693,9 +675,9 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     A network that holds its own base returns it.  One that holds another
     base, handed on by ``attach_update`` (a summary, unless that was
     refused), extends it as it is by the new nodes when ``net`` starts with
-    that base's network, the new nodes read only wires it knows, and its
-    records, if any, keep their live targets.  Otherwise, and for a network
-    that holds nothing, the base is built from the empty one.
+    that base's network and the new nodes read only wires it knows.
+    Otherwise, and for a network that holds nothing, the base is built from
+    the empty one.
 
     The base so built is replaced at once by its own summary
     (``summarized``), so this query and every later one plan over the
@@ -707,14 +689,9 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     held = net.preparation
     if held is not None and held.graph is net.graph and held.ev is net.ev:
         return held
-    base = None
-    if held is not None and held._extends(net) and held._knows(net):
-        base = _Base(net, merge_diagonal=True, query=True, parent=held)
-        n = held.graph.node_count
-        if held.nodes and {w for w in base.kept if w.node < n} != held.kept:
-            base = None
-    if base is None:
-        base = _Base(net, merge_diagonal=True, query=True)
+    extends = held is not None and held._extends(net) and held._knows(net)
+    base = _Base(net, merge_diagonal=True, query=True,
+                 parent=held if extends else None)
     base = base.summarized(stats) or base
     # the network is frozen; its preparation is a cache beside its fields
     object.__setattr__(net, "preparation", base)
@@ -748,10 +725,6 @@ def _run(factors: list[Factor], order: Sequence[Wire],
     for z in order:
         group = [f for f in factors if z in f.wires]
         factors = [f for f in factors if z not in f.wires]
-        if not group:
-            # a wire constrained by nothing sums to 2 over its two values
-            factors.append(Factor((), np.array([2.0])))
-            continue
         factors.append(_contract(group, z, stats))
     return factors
 
@@ -958,7 +931,7 @@ def _eliminate(base: _Base, out: Sequence[Wire], stats: ElimStats
     matrix and contracted in a grouped step (``_run_hybrid``), which ends
     by the same sweep and plan over the factors left; the order then lists
     the wires in the sequence actually summed out and reports the realized
-    width, and a zero base runs nothing.  Both problems come from the same
+    width.  Both problems come from the same
     base, so escalating prepares nothing twice.
     """
     problem = base.problem(out, BULK_NODE_BITS)
@@ -969,8 +942,6 @@ def _eliminate(base: _Base, out: Sequence[Wire], stats: ElimStats
                              stats)
             return problem, left, plan
     problem = base.problem(out, GROUP_NODE_BITS)
-    if base.zero:
-        return problem, [], ElimOrder((), 0)
     left, sequence = _run_hybrid(problem, stats)
     return problem, left, ElimOrder(sequence, stats.max_factor_wires)
 
@@ -982,9 +953,6 @@ def _combine(problem: _Problem, factors: list[Factor]) -> TypedMatrix:
         raise TooLarge(f"result over {total_bits} wires exceeds the "
                        f"2^{MAX_FACTOR_BITS} guard")
     size = 1 << total_bits
-    if problem.base.zero:
-        return TypedMatrix(n, m,
-                           dense=np.zeros((1 << m, 1 << n)), check=False)
     pinned = problem.base.pinned
     space = np.arange(size, dtype=np.int64)
     # flat result index: output bits (most significant) then input bits
@@ -1064,9 +1032,10 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     or places asked of a network without a place map, raises
     ``MissingPlace`` and leaves ``net.preparation`` as it was.  The base is
     kept on the network (``_query_base``), so a later call on the same
-    network, over any places, reuses it with every node factor and
-    grouped-step matrix built from it.  A network from ``attach_update``
-    extends the base its parent held instead of building one from nothing.
+    network, over any places, reuses it with every node table and
+    grouped-step matrix built for it, each once per set of live targets.
+    A network from ``attach_update`` extends the base its parent held
+    instead of building one from nothing.
     The first call sums the network out to its output wires; that
     elimination runs in this call and counts in the returned stats
     (``contractions``, ``grouped_steps``, ``swept``, ``max_factor_wires``),

@@ -311,8 +311,8 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     Its first prepared query extends that preparation by the new node, so
     an observer who queries after every step builds each node factor once.
     Every network's first query sums it out to its place wires, unless it
-    has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes, its
-    point masses conflict or the summary raises TooLarge; so where ``net``
+    has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes or
+    the summary raises TooLarge; so where ``net``
     or an ancestor was queried, the new node reads summary factors over the
     places, not the whole history.
     """

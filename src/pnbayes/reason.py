@@ -6,7 +6,9 @@ observed to succeed or to fail.  The posterior over markings is kept
 symbolically: each update appends one node to a modular Bayesian network,
 and queries run scheduled variable elimination over the accumulated
 graph.  Normalization is deferred to query time, which conditions on the
-whole observation sequence at once.
+whole observation sequence at once.  A place is pinned to a constant only
+where the prior gives it probability exactly 0 or 1, so a prior however
+small keeps its mass.
 
 Every query is one ``eliminate.scheduled_eliminate`` call on the
 posterior's network with the asked places, and all of them share one
@@ -16,7 +18,8 @@ place wires once, by grouped steps where a node is too wide to tabulate,
 so that query and every later marginal, mass or joint query plan over
 that summary instead of the whole trace (on a net of more than
 ``eliminate.BULK_NODE_BITS`` places, or where the summary raises
-TooLarge, they reuse the node factors).
+TooLarge, they reuse the node factors, each built once per set of targets
+a query keeps).
 ``Posterior.marginals`` asks every place's marginal.  The preparation
 moves on with each step: ``Posterior.observe`` (like
 ``mbn.attach_update``, which it calls) hands it to the next network, whose
@@ -25,8 +28,8 @@ place wires and sums that out in turn, so an observe chain carries only
 summaries.  An observer who queries after every step thus builds each
 node factor once per trace, and a query costs about the same at step 20
 as at step 1.  Where the summary is refused (more than
-``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
-TooLarge), the next network takes the older node records over instead.
+``eliminate.BULK_NODE_BITS`` places, or TooLarge), the next network takes
+the older node records over instead.
 ``run`` builds no preparation along the way, so the first query on its
 posterior sums the whole trace out in one cut.
 
@@ -155,9 +158,9 @@ class Posterior:
         nothing into the held preparation); querying after every step thus
         builds each node factor once and keeps the query over about places
         plus one node's wires.  Where the summary is refused (more than
-        ``eliminate.BULK_NODE_BITS`` places, conflicting point masses, or
-        TooLarge), the preparation keeps node records, and the next
-        posterior extends them.
+        ``eliminate.BULK_NODE_BITS`` places, or TooLarge), the preparation
+        keeps node records, and the next posterior extends them, each older
+        node building a table over the targets it now keeps.
         """
         up = build_update(self.net, step)
         return Posterior(self.net, attach_update(self.mbn, up, obs))

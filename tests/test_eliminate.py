@@ -215,8 +215,8 @@ def test_a_plan_wider_than_the_tabulation_limit_escalates(monkeypatch):
     limit = plan.width - 2
     monkeypatch.setattr(eliminate, "BULK_NODE_BITS", limit)
     base = eliminate._Base(net, merge_diagonal=True, query=True)
-    assert max(len(node.scope(base.pinned))
-               for node in base.nodes.values()) <= limit
+    # every node's table over the targets a summary keeps fits the limit
+    assert max(map(len, base.problem(net.graph.out).scopes)) <= limit
     # the summary, or where it is refused the query, runs over that plan
     mat, _, stats = scheduled_eliminate(net)
     assert stats.grouped_steps

@@ -18,7 +18,7 @@ from pnbayes.mbn import (MBN, attach_update, build_update, eval_naive,
                          prior_independent, prior_joint, prior_point,
                          terminate, uniform_prior)
 from pnbayes.petri import CENet, StepSpec, net_to_json
-from pnbayes.randnet import random_trace
+from pnbayes.randnet import BenchConfig, random_trace
 from pnbayes.reason import (ObservationTrace, Posterior, PriorSpec,
                             dense_posterior, load_trace, parse_prior,
                             parse_step, parse_trace, run)
@@ -142,15 +142,16 @@ def test_run_rejects_unknown_observation():
 
 # -- queries sharing one posterior's preparation ------------------------------
 
-def _count_tabulations(monkeypatch) -> dict:
-    """Count table and grouped-matrix constructions per node."""
+def _count_tabulations(monkeypatch, by_live: bool = False) -> dict:
+    """Count table and grouped-matrix constructions per node, or per node
+    and live targets."""
     counts: dict[tuple, int] = {}
 
     def counted(build):
-        def wrapper(node, *args):
-            key = (build.__name__, node.index)
+        def wrapper(node, live, pinned):
+            key = (build.__name__, node.index) + ((live,) if by_live else ())
             counts[key] = counts.get(key, 0) + 1
-            return build(node, *args)
+            return build(node, live, pinned)
         return wrapper
     monkeypatch.setattr(eliminate, "_node_factor",
                         counted(eliminate._node_factor))
@@ -184,6 +185,30 @@ def test_each_node_is_tabulated_once_per_posterior(trace, escalations,
     assert len(escalated) == escalations
     grouped = [key for key in counts if key[0] == "_node_matrix"]
     assert bool(grouped) == bool(escalations)
+
+
+def test_each_node_product_is_built_once_per_live_targets(monkeypatch):
+    """On a criterion-8 trace over 25 places the summary is refused, so
+    every query reads the node records, and the node writing the first
+    places keeps different targets per query: each (node, live targets)
+    table is built once, and answers match fresh posteriors."""
+    cfg = BenchConfig()
+    rng = np.random.default_rng([1, 25, 1])
+    transitions = int(rng.choice(np.asarray(cfg.transitions)))
+    trace = random_trace(rng, 25, transitions, cfg.steps, cfg.semantics,
+                         cfg.max_pre, cfg.max_post, cfg.max_active)
+    queries = [[p] for p in trace.net.places[:4]] + [[]]
+    counts = _count_tabulations(monkeypatch, by_live=True)
+    posterior = run(trace)
+    got = [posterior.query_stats(asked)[0] for asked in queries]
+    monkeypatch.undo()
+    assert not posterior.mbn.preparation.summary
+    assert counts and max(counts.values()) == 1
+    # some node is asked for over more than one set of live targets
+    assert len(counts) > len({index for _, index, _ in counts})
+    for raw, asked in zip(got, queries):
+        want, _, _ = run(trace).query_stats(asked)
+        assert np.allclose(raw.data, want.data, rtol=1e-12, atol=0.0)
 
 
 def test_preparation_lives_and_dies_with_the_posterior():
@@ -265,6 +290,34 @@ def test_cached_queries_match_fresh_with_pins_and_zero_mass(rng):
         _cached_and_fresh_agree(trace, rng)
 
 
+@pytest.mark.parametrize("p_a", [1e-13, 1e-300, 0.0])
+def test_only_an_exact_point_mass_is_pinned(p_a):
+    """A prior of 1e-13 or 1e-300 on A keeps its mass: the success of
+    ``t: A -> B`` has probability P(A) / 2 and leaves B marked, through
+    ``run`` and through ``observe``.  Only P(A) = 0 pins A, and then the
+    evidence is impossible."""
+    net = CENet(("A", "B"), (("t", ("A",), ("B",)),))
+    step = StepSpec("independent", {"t": 0.5, "fail": 0.5})
+    prior = PriorSpec(marginals=(("A", p_a), ("B", 0.5)))
+    trace = ObservationTrace(net, prior, ((step, "success"),))
+    dense = dense_posterior(trace)
+    assert dense.mass() == pytest.approx(p_a / 2, rel=1e-12, abs=0.0)
+    before = run(ObservationTrace(net, prior, ()))
+    before.mass()
+    for posterior in (run(trace), before.observe(step, "success")):
+        if p_a == 0.0:
+            assert posterior.mass() == 0.0
+            with pytest.raises(InconsistentEvidence):
+                posterior.marginal(["B"])
+            continue
+        assert posterior.mass() == pytest.approx(dense.mass(), rel=1e-12,
+                                                 abs=0.0)
+        want = normalize(marginal_of(dense, net, ["B"]))
+        assert want.entry("1") == 1.0
+        assert np.allclose(posterior.marginal(["B"]).data, want.data,
+                           rtol=1e-12, atol=0.0)
+
+
 def test_cached_queries_match_fresh_when_escalating(rng):
     _cached_and_fresh_agree(nets.wide_trace(np.random.default_rng(0)), rng)
 
@@ -278,13 +331,12 @@ def _assert_fresh_base(base, net):
     assert base.rep == want.rep
     assert base.read == want.read
     assert base.pinned == want.pinned
-    assert base.zero == want.zero
     assert list(base.nodes) == list(want.nodes)
     for index, node in base.nodes.items():
         other = want.nodes[index]
         assert node.mat is other.mat
-        assert (node.src, node.tgt, node.live, node.diagonal) == \
-            (other.src, other.tgt, other.live, other.diagonal)
+        assert (node.src, node.tgt, node.diagonal) == \
+            (other.src, other.tgt, other.diagonal)
 
 
 def _online_trace(seed, semantics, prior_kind, zero_at):
@@ -468,7 +520,10 @@ def _check_fresh_children(gossip_net, gossip_step, summaries):
                                 dense=mat.to_dense())
               for name, mat in parent.ev.items()}
     # a new node reading K2's prior wire, dead in a network that outputs
-    # only K1: the older record of that wire must come back to life
+    # only K1: the older record of that wire must come back to life.  Over
+    # records the child extends them as they are and asks K2's prior for
+    # a table over that target, a key the parent never built; a summary
+    # over K1 alone does not know the wire, so there the child starts fresh
     only_k1 = terminate(uniform_prior(gossip_net), ["K1"])
     scheduled_eliminate(only_k1)
     graph = only_k1.graph
@@ -487,8 +542,15 @@ def _check_fresh_children(gossip_net, gossip_step, summaries):
         assert mat.allclose(eval_naive(child), atol=1e-12)
         base = child.preparation
         assert base is not parent_base
-        assert not any(base.nodes[index] is node
+        if child.graph is reader and not summaries:
+            assert all(base.nodes[index] is node
                        for index, node in parent_base.nodes.items())
+            dead, alive = ("factor", 1, (False,)), ("factor", 1, (True,))
+            assert dead in parent_base._built and dead in base._built
+            assert alive in base._built and alive not in parent_base._built
+        else:
+            assert not any(base.nodes[index] is node
+                           for index, node in parent_base.nodes.items())
         if summaries:
             # built from nothing, then summed out as a whole
             assert base.summary is not parent_base.summary
@@ -687,7 +749,7 @@ def test_a_parent_answers_the_same_after_its_child_extended_it(
     # the extension and its summary wrote nothing into the parent's base
     assert posterior.mbn.preparation is base
     assert base.summary is summary and not base.nodes
-    assert not base._tables and not base._matrices
+    assert not base._built
     assert all(np.array_equal(f.table, want)
                for f, want in zip(summary, saved))
     # and the parent answers as its twin

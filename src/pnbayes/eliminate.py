@@ -454,9 +454,10 @@ class _Base:
     new wire joins the class of a wire it is merged with, and it is larger
     than every older wire, so the smallest wire stays the representative.
     The new nodes read more classes, so an older node may keep other
-    targets than it did in the parent; it then asks for its own key, and a
-    product built for other live targets is never read.  The parent's
-    cached products are shared; the dict that holds them is copied.
+    targets than it did in the parent; it then asks for its own key.  The
+    parent's cached products are shared, except those whose live targets
+    miss a class some node now reads: no query asks for them again, so
+    they are left to be freed with the parent.
 
     A base may also hold ``summary`` factors: the network, or the older one
     it extends, summed out to its output classes (see ``summarized``).
@@ -526,6 +527,11 @@ class _Base:
                 rep[Wire(v, p)] for p in range(1, gen.out_arity + 1))
             nodes[v] = _Node(v, net.matrix(gen.name), src, tgt,
                              diagonal=v in diagonal_nodes)
+        # a product whose live targets miss a class some node now reads is
+        # never asked for again; dropped, it is freed with the parent
+        built = {key: got for key, got in built.items()
+                 if all(alive or w not in read
+                        for w, alive in zip(nodes[key[1]].tgt, key[2]))}
         self.graph = graph
         self.ev = net.ev
         self.rep = rep

@@ -522,8 +522,9 @@ def _check_fresh_children(gossip_net, gossip_step, summaries):
     # a new node reading K2's prior wire, dead in a network that outputs
     # only K1: the older record of that wire must come back to life.  Over
     # records the child extends them as they are and asks K2's prior for
-    # a table over that target, a key the parent never built; a summary
-    # over K1 alone does not know the wire, so there the child starts fresh
+    # a table over that target, a key the parent never built, and it does
+    # not carry the parent's table without it; a summary over K1 alone
+    # does not know the wire, so there the child starts fresh
     only_k1 = terminate(uniform_prior(gossip_net), ["K1"])
     scheduled_eliminate(only_k1)
     graph = only_k1.graph
@@ -546,7 +547,8 @@ def _check_fresh_children(gossip_net, gossip_step, summaries):
             assert all(base.nodes[index] is node
                        for index, node in parent_base.nodes.items())
             dead, alive = ("factor", 1, (False,)), ("factor", 1, (True,))
-            assert dead in parent_base._built and dead in base._built
+            # the dead-target table is left with the parent
+            assert dead in parent_base._built and dead not in base._built
             assert alive in base._built and alive not in parent_base._built
         else:
             assert not any(base.nodes[index] is node

@@ -14,13 +14,14 @@ large-but-sparse maps such as marking updates on many places.  Sparse
 entries are kept as ``(rows, cols, values)`` column by column, rows
 ascending and each position once: the order of the CSC form, which is the
 order the elimination engine reads them in (``TypedMatrix.entries``).
+It is the only sparse form, and :func:`from_entries` alone decides
+whether a matrix built from coordinates is stored dense or as entries.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InconsistentEvidence, InvalidArity, TooLarge, TypeMismatch
 
@@ -29,8 +30,8 @@ from .errors import InconsistentEvidence, InvalidArity, TooLarge, TypeMismatch
 STOCH_EPS = 1e-9
 CONSTRUCT_EPS = 1e-6
 
-# Refuse to materialize dense tables above 2**MAX_DENSE_BITS entries and
-# prefer dense below 2**DENSIFY_BITS (where dense is faster than sparse).
+# Refuse to materialize dense tables above 2**MAX_DENSE_BITS entries; up to
+# 2**DENSIFY_BITS, from_entries stores dense, which is faster than sparse.
 MAX_DENSE_BITS = 26
 DENSIFY_BITS = 16
 
@@ -85,13 +86,13 @@ class TypedMatrix:
             diag.flags.writeable = False
             self._diag = diag
         else:
-            # a scipy matrix, or coordinates (rows, cols, values)
-            if not isinstance(sparse, tuple):
-                if sparse.shape != (1 << self.out_arity, 1 << self.in_arity):
-                    raise InvalidArity("sparse shape does not match type")
-                coo = sp.coo_matrix(sparse)
-                sparse = (coo.row, coo.col, coo.data)
-            self._sparse = _column_major(*sparse, self.in_arity,
+            # coordinates (rows, cols, values); a coordinate outside the
+            # type, negative ones included, keeps a bit after the shift
+            rows, cols, vals = sparse
+            if check and (np.any(np.right_shift(rows, self.out_arity))
+                          or np.any(np.right_shift(cols, self.in_arity))):
+                raise InvalidArity("sparse coordinates outside the type")
+            self._sparse = _column_major(rows, cols, vals, self.in_arity,
                                          self.out_arity)
         if check:
             self._check_substochastic()
@@ -155,7 +156,10 @@ class TypedMatrix:
             return float(self._diag[x]) if x == y else 0.0
         if self._dense is not None:
             return float(self._dense[x, y])
-        return float(self.to_sparse()[x, y])
+        rows, cols, vals = self._sparse
+        lo, hi = np.searchsorted(cols, (y, y + 1))
+        i = lo + np.searchsorted(rows[lo:hi], x)
+        return float(vals[i]) if i < hi and rows[i] == x else 0.0
 
     def diag_vector(self) -> np.ndarray:
         if self._diag is None:
@@ -189,15 +193,6 @@ class TypedMatrix:
         dense[rows, cols] = vals
         return dense
 
-    def to_sparse(self) -> sp.csc_matrix:
-        if self._sparse is not None:
-            rows, cols, vals = self._sparse
-            return sp.csc_matrix((vals, (rows, cols)), shape=(
-                1 << self.out_arity, 1 << self.in_arity))
-        if self._diag is not None:
-            return sp.diags(self._diag, format="csc")
-        return sp.csc_matrix(self._dense)
-
     def column_sums(self) -> np.ndarray:
         if self._diag is not None:
             return self._diag
@@ -229,26 +224,29 @@ class TypedMatrix:
                               minlength=1 << self.out_arity)
         return ProbVector(self.out_arity, out)
 
+    def _difference(self, other: "TypedMatrix") -> np.ndarray | None:
+        """``self - other`` where either holds an entry, by merging both
+        entry lists with ``other``'s negated; None if the types differ."""
+        if (self.in_arity, self.out_arity) != (other.in_arity, other.out_arity):
+            return None
+        (r1, c1, v1), (r2, c2, v2) = self.entries(), other.entries()
+        return _column_major(np.concatenate((r1, r2)),
+                             np.concatenate((c1, c2)),
+                             np.concatenate((v1, -v2)), self.in_arity,
+                             self.out_arity)[2]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TypedMatrix):
             return NotImplemented
-        if (self.in_arity, self.out_arity) != (other.in_arity, other.out_arity):
-            return False
-        return bool(np.array_equal(self.to_dense(), other.to_dense()))
+        diff = self._difference(other)
+        return diff is not None and not np.any(diff)
 
     def __hash__(self):
         return hash((self.in_arity, self.out_arity))
 
     def allclose(self, other: "TypedMatrix", atol: float = STOCH_EPS) -> bool:
-        if (self.in_arity, self.out_arity) != (other.in_arity, other.out_arity):
-            return False
-        if self.is_sparse or other.is_sparse:
-            diff = self.to_sparse() - other.to_sparse()
-            if diff.nnz == 0:
-                return True
-            return bool(np.max(np.abs(diff.data)) <= atol)
-        return bool(np.allclose(self.to_dense(), other.to_dense(), atol=atol,
-                                rtol=0.0))
+        diff = self._difference(other)
+        return diff is not None and bool(np.all(np.abs(diff) <= atol))
 
     def __repr__(self):
         kind = ("diag" if self.is_diagonal else
@@ -331,8 +329,13 @@ def compose(first: TypedMatrix, second: TypedMatrix) -> TypedMatrix:
     if first.is_diagonal and second.is_diagonal:
         return TypedMatrix(n, m, diag=second._diag * first._diag, check=False)
     if first.is_sparse or second.is_sparse or n + m > MAX_DENSE_BITS:
-        prod = second.to_sparse() @ first.to_sparse()
-        return _finalize_sparse(prod, n, m)
+        # join first's rows with second's columns, which ascend
+        z, y, v = first.entries()
+        x, col, w = second.entries()
+        lo, hi = np.searchsorted(col, z), np.searchsorted(col, z, "right")
+        i = np.repeat(np.arange(z.shape[0]), hi - lo)
+        j = np.arange(i.shape[0]) + (hi - np.cumsum(hi - lo))[i]
+        return from_entries(n, m, x[j], y[i], v[i] * w[j])
     return TypedMatrix(n, m, dense=second.to_dense() @ first.to_dense(),
                        check=False)
 
@@ -344,8 +347,11 @@ def tensor(a: TypedMatrix, b: TypedMatrix) -> TypedMatrix:
     if a.is_diagonal and b.is_diagonal:
         return TypedMatrix(n, m, diag=np.kron(a._diag, b._diag), check=False)
     if a.is_sparse or b.is_sparse or n + m > MAX_DENSE_BITS:
-        prod = sp.kron(a.to_sparse(), b.to_sparse(), format="csc")
-        return _finalize_sparse(prod, n, m)
+        (ra, ca, va), (rb, cb, vb) = a.entries(), b.entries()
+        rows = ra.astype(np.int64)[:, None] << b.out_arity | rb
+        cols = ca.astype(np.int64)[:, None] << b.in_arity | cb
+        return from_entries(n, m, rows.ravel(), cols.ravel(),
+                            np.outer(va, vb).ravel())
     return TypedMatrix(n, m, dense=np.kron(a.to_dense(), b.to_dense()),
                        check=False)
 
@@ -373,11 +379,16 @@ def _column_major(rows, cols, vals, n: int, m: int):
     return entries
 
 
-def _finalize_sparse(mat, n: int, m: int) -> TypedMatrix:
+def from_entries(n: int, m: int, rows, cols, vals) -> TypedMatrix:
+    """The ``n -> m`` matrix holding ``vals`` at ``(rows, cols)``, a
+    position given twice summed in the order given, built unchecked: dense
+    by one bincount up to DENSIFY_BITS, else kept as its entry list."""
     if n + m <= DENSIFY_BITS:
-        return TypedMatrix(n, m, dense=sp.csc_matrix(mat).toarray(),
+        flat = np.asarray(rows, dtype=np.int64) << n | cols
+        dense = np.bincount(flat, weights=vals, minlength=1 << (n + m))
+        return TypedMatrix(n, m, dense=dense.reshape(1 << m, 1 << n),
                            check=False)
-    return TypedMatrix(n, m, sparse=mat, check=False)
+    return TypedMatrix(n, m, sparse=(rows, cols, vals), check=False)
 
 
 def identity(n: int) -> TypedMatrix:

@@ -96,10 +96,6 @@ class CausalityGraph:
         return tuple(sorted(set(self.sources[v]) | set(self.ports(v))))
 
 
-def empty_graph() -> CausalityGraph:
-    return CausalityGraph(0, (), (), ())
-
-
 def wiring_identity(n: int) -> CausalityGraph:
     return CausalityGraph(n, (), (), tuple(
         Wire(-1, j) for j in range(1, n + 1)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitmatrix import DENSIFY_BITS, ProbVector, TypedMatrix, normalize
+from .bitmatrix import ProbVector, TypedMatrix, from_entries, normalize
 from .errors import TooLarge, ValidationError
 from .petri import FAIL, INDEPENDENT, STOCHASTIC, CENet, StepSpec
 
@@ -49,9 +49,8 @@ def _stochastic_denominator(net: CENet, step: StepSpec,
 
 def build_P(net: CENet, step: StepSpec,
             limit: int = DEFAULT_PLACE_LIMIT) -> TypedMatrix:
-    """The success matrix: ``P(m'|m)`` sums ``r(m,t)`` over firings m => m'.
-
-    Dense up to DENSIFY_BITS, else kept as its entry list."""
+    """The success matrix: ``P(m'|m)`` sums ``r(m,t)`` over firings m => m',
+    stored as :func:`~pnbayes.bitmatrix.from_entries` decides."""
     _guard(net, limit)
     k = net.width
     idx = _index_array(k)
@@ -72,13 +71,7 @@ def build_P(net: CENet, step: StepSpec,
         vals.append(w)
     rows, cols, vals = (np.concatenate(a) if a else np.zeros(0, np.int64)
                         for a in (rows, cols, vals))
-    size = idx.shape[0]
-    if 2 * k <= DENSIFY_BITS:
-        dense = np.bincount(rows.astype(np.int64) * size + cols,
-                            weights=vals, minlength=size * size)
-        return TypedMatrix(k, k, dense=dense.reshape(size, size),
-                           check=False)
-    return TypedMatrix(k, k, sparse=(rows, cols, vals), check=False)
+    return from_entries(k, k, rows, cols, vals)
 
 
 def build_F(net: CENet, step: StepSpec,

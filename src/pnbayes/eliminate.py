@@ -422,8 +422,6 @@ class _Node:
 def _is_point_mass(mat: TypedMatrix) -> int | None:
     """The output bitstring of a source whose one nonzero entry is exactly
     1.0, else None: a mass however small elsewhere is not pinned away."""
-    if mat.in_arity != 0:
-        return None
     rows, _, vals = mat.entries()
     heavy = np.flatnonzero(vals)
     if heavy.shape[0] == 1 and vals[heavy[0]] == 1.0:

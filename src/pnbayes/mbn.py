@@ -32,7 +32,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .bitmatrix import DENSIFY_BITS, MAX_DENSE_BITS, ProbVector, TypedMatrix
+from .bitmatrix import MAX_DENSE_BITS, ProbVector, TypedMatrix, from_entries
 from .causality import CausalityGraph, Generator, Wire, node_graph, validate
 from .chain import OBSERVATIONS, SUCCESS
 from .errors import MissingPlace, TooLarge, TypeMismatch, ValidationError
@@ -227,11 +227,7 @@ class UpdatePair:
         if not np.any(vals[rows != cols]):
             return TypedMatrix.diagonal(
                 np.bincount(rows, weights=vals, minlength=size))
-        if 2 * ell <= DENSIFY_BITS:
-            dense = np.bincount(rows * size + cols, weights=vals,
-                                minlength=size * size).reshape(size, size)
-            return TypedMatrix(ell, ell, dense=dense, check=False)
-        return TypedMatrix(ell, ell, sparse=(rows, cols, vals), check=False)
+        return from_entries(ell, ell, rows, cols, vals)
 
     @cached_property
     def fmat(self) -> TypedMatrix:

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from pnbayes.bitmatrix import (ProbVector, TypedMatrix, bits_to_int, compose,
-                               constant, dump_matrix, dump_vector, duplicate,
-                               identity, int_to_bits, normalize, parse_vector,
+from pnbayes.bitmatrix import (DENSIFY_BITS, MAX_DENSE_BITS, ProbVector,
+                               TypedMatrix, bits_to_int, compose, constant,
+                               dump_matrix, dump_vector, duplicate, identity,
+                               int_to_bits, normalize, parse_vector,
                                swap_blocks, tensor, terminator)
 from pnbayes.errors import (InconsistentEvidence, InvalidArity, TooLarge,
                             TypeMismatch)
@@ -21,8 +22,7 @@ def test_bits_round_trip():
 def test_layouts_agree():
     diag = TypedMatrix.diagonal([0.2, 0.7])
     dense = TypedMatrix.dense(np.diag([0.2, 0.7]))
-    import scipy.sparse as sp
-    sparse = TypedMatrix.sparse(sp.diags([0.2, 0.7]), 1, 1)
+    sparse = TypedMatrix.sparse(([0, 1], [0, 1], [0.2, 0.7]), 1, 1)
     for x in range(2):
         for y in range(2):
             assert diag.entry(x, y) == dense.entry(x, y) == sparse.entry(x, y)
@@ -49,11 +49,9 @@ def test_construction_guards():
 
 
 def test_nan_entries_are_rejected_in_every_layout():
-    import scipy.sparse as sp
     for layout in (dict(dense=np.array([[np.nan], [np.nan]])),
                    dict(diag=np.array([np.nan, 0.5])),
-                   dict(sparse=sp.csr_matrix(np.array([[np.nan, 0.0],
-                                                       [0.0, 0.5]])))):
+                   dict(sparse=([0, 1], [0, 1], [np.nan, 0.5]))):
         n = 0 if "dense" in layout else 1
         with pytest.raises(InvalidArity, match="not finite"):
             TypedMatrix(n, 1, **layout)
@@ -164,8 +162,8 @@ def test_parse_vector_reverses_dump_order():
 
 
 def test_to_dense_guard():
-    import scipy.sparse as sp
-    big = TypedMatrix.sparse(sp.eye(1 << 14, format="csc"), 14, 14)
+    idx = np.arange(1 << 14)
+    big = TypedMatrix.sparse((idx, idx, np.ones(1 << 14)), 14, 14)
     with pytest.raises(TooLarge):
         big.to_dense()
 
@@ -189,4 +187,94 @@ def test_sparse_coordinates_are_kept_column_major():
     p = ProbVector(2, [0.1, 0.2, 0.3, 0.4])
     assert np.allclose(mat.apply(p).data, dense @ p.data, atol=1e-15)
     assert mat.entry(3, 1) == 0.375 and mat.entry(2, 1) == 0.0
-    assert mat == TypedMatrix.sparse(sp.csr_matrix(dense), 2, 2)
+    assert mat == TypedMatrix.dense(dense)
+
+
+@pytest.mark.parametrize("rows, cols", [([5], [0]), ([0], [2]), ([-1], [0]),
+                                        ([0], [-1])])
+def test_sparse_coordinates_outside_the_type_are_rejected(rows, cols):
+    with pytest.raises(InvalidArity, match="outside the type"):
+        TypedMatrix(1, 1, sparse=(rows, cols, [0.5]))
+
+
+def test_equality_of_large_sparse_matrices_reads_entries():
+    """Equal 14 -> 14 matrices compare equal without the 2^28-entry dense
+    table, across layouts too; one value apart, they differ."""
+    idx = np.arange(1 << 14)
+    a = TypedMatrix(14, 14, sparse=(idx, idx, np.ones(1 << 14)))
+    assert a == TypedMatrix(14, 14, sparse=(idx[::-1], idx[::-1],
+                                            np.ones(1 << 14)))
+    assert a == identity(14) and a.allclose(identity(14), atol=0.0)
+    vals = np.ones(1 << 14)
+    vals[7] = 0.5
+    assert a != TypedMatrix(14, 14, sparse=(idx, idx, vals))
+
+
+def _random_matrix(rng, n, m, layout, nnz=48):
+    """Random coordinates, some repeated, with column sums at most 1."""
+    mat = TypedMatrix(n, m, sparse=(rng.integers(0, 1 << m, nnz),
+                                    rng.integers(0, 1 << n, nnz),
+                                    rng.random(nnz) / nnz))
+    return TypedMatrix(n, m, dense=mat.to_dense()) if layout == "dense" else mat
+
+
+def _as_dict(mat):
+    return {(int(x), int(y)): float(v) for x, y, v in zip(*mat.entries())
+            if v}
+
+
+@pytest.mark.parametrize("op, a_type, b_type, layouts", [
+    ("compose", (2, 3), (3, 2), ("sparse", "sparse")),
+    ("compose", (2, 3), (3, 2), ("sparse", "dense")),
+    ("compose", (2, 3), (3, 2), ("dense", "sparse")),
+    ("compose", (8, 5), (5, 8), ("sparse", "sparse")),   # 16 bits: dense
+    ("compose", (9, 4), (4, 8), ("sparse", "dense")),    # 17 bits: sparse
+    ("compose", (9, 4), (4, 8), ("dense", "sparse")),
+    ("compose", (14, 6), (6, 13), ("sparse", "sparse")),  # over 26 bits
+    ("compose", (14, 1), (1, 13), ("dense", "dense")),
+    ("tensor", (1, 2), (2, 1), ("sparse", "sparse")),
+    ("tensor", (1, 2), (2, 1), ("dense", "sparse")),
+    ("tensor", (4, 4), (4, 4), ("sparse", "dense")),     # 16 bits: dense
+    ("tensor", (4, 5), (4, 4), ("sparse", "dense")),     # 17 bits: sparse
+    ("tensor", (7, 7), (7, 7), ("sparse", "sparse")),    # over 26 bits
+])
+def test_sparse_operations_match_a_reference(rng, op, a_type, b_type,
+                                             layouts):
+    """compose and tensor over the entry lists give the entries a plain
+    loop over both operands' entries gives; the result is dense exactly up
+    to DENSIFY_BITS, and entry, == and allclose read it in either layout."""
+    a = _random_matrix(rng, *a_type, layouts[0])
+    b = _random_matrix(rng, *b_type, layouts[1])
+    want = {}
+    for (xa, ya), va in _as_dict(a).items():
+        for (xb, yb), vb in _as_dict(b).items():
+            if op == "tensor":
+                key = (xa << b.out_arity | xb, ya << b.in_arity | yb)
+            elif xa == yb:
+                key = (xb, ya)
+            else:
+                continue
+            want[key] = want.get(key, 0.0) + va * vb
+    got = compose(a, b) if op == "compose" else tensor(a, b)
+    n, m = got.in_arity, got.out_arity
+    assert got.is_sparse == (n + m > DENSIFY_BITS)
+    found = _as_dict(got)
+    assert found.keys() == want.keys()
+    assert max(abs(found[k] - v) for k, v in want.items()) <= 1e-15
+    x, y = next(iter(want))
+    assert got.entry(x, y) == found[x, y]
+    gap = next(((x, y) for y in range(1 << n) for x in range(1 << m)
+                if (x, y) not in want), None)
+    assert gap is None or got.entry(*gap) == 0.0
+    rows, cols = (np.array(k) for k in zip(*want))
+    reference = TypedMatrix(n, m, sparse=(rows, cols, list(want.values())))
+    assert got.allclose(reference, atol=1e-15)
+    same = TypedMatrix(n, m, sparse=got.entries())
+    if n + m <= MAX_DENSE_BITS:
+        same = TypedMatrix(n, m, dense=got.to_dense())
+    assert got == same and same == got
+    vals = np.array(same.entries()[2])
+    vals[0] += 1e-6
+    moved = TypedMatrix(n, m, sparse=(*same.entries()[:2], vals))
+    assert got != moved and not got.allclose(moved)
+    assert got.allclose(moved, atol=2e-6)

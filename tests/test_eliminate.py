@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pnbayes import eliminate
-from pnbayes.causality import Generator, Wire, node_graph, seq
+from pnbayes.bitmatrix import TypedMatrix
+from pnbayes.causality import (CausalityGraph, Generator, Wire, node_graph,
+                               seq)
 from pnbayes.eliminate import (ConstT, GenT, SeqT, TensorT, TreeDecomposition,
                                elimination_width_exact, initial_factors,
                                min_degree_order, order_from_term, order_width,
@@ -139,6 +141,36 @@ def test_run_elimination_all_orders_agree():
     for perm in itertools.permutations(internal):
         mat = run_elimination(net, perm)
         assert mat.allclose(ref, atol=1e-12)
+
+
+def _repeated_output_mbns(rng):
+    """A network whose outputs name B's first wire twice, and one whose
+    outputs are a diagonal node D's input and its output, which the query
+    path merges into one class: in both, two result bits read one wire."""
+    a, b, d = (Generator("A", 0, 1), Generator("B", 1, 2),
+               Generator("D", 1, 1))
+    twice = MBN(CausalityGraph(0, (a, b), ((), (Wire(0, 1),)),
+                               (Wire(1, 1), Wire(0, 1), Wire(1, 1))),
+                {"A": nets.stochastic_matrix(rng, 0, 1),
+                 "B": nets.substochastic_matrix(rng, 1, 2)})
+    merged = MBN(CausalityGraph(0, (a, d, b),
+                                ((), (Wire(0, 1),), (Wire(1, 1),)),
+                                (Wire(0, 1), Wire(1, 1), Wire(2, 2))),
+                 {"A": nets.stochastic_matrix(rng, 0, 1),
+                  "D": TypedMatrix.diagonal([0.3, 0.8]),
+                  "B": nets.substochastic_matrix(rng, 1, 2)})
+    return twice, merged
+
+
+def test_an_output_read_twice_keeps_only_agreeing_bits(rng):
+    for net in _repeated_output_mbns(rng):
+        want = eval_naive(net)
+        mat, _, _ = scheduled_eliminate(net)
+        assert mat.allclose(want, atol=1e-15)
+        order = min_degree_order(net)
+        for merge in (False, True):
+            got = run_elimination(net, order, merge_diagonal=merge)
+            assert got.allclose(want, atol=1e-15)
 
 
 def test_run_elimination_rejects_bad_orders():

@@ -143,10 +143,10 @@ def test_run_elimination_all_orders_agree():
         assert mat.allclose(ref, atol=1e-12)
 
 
-def _repeated_output_mbns(rng):
-    """A network whose outputs name B's first wire twice, and one whose
-    outputs are a diagonal node D's input and its output, which the query
-    path merges into one class: in both, two result bits read one wire."""
+def test_an_output_read_twice_keeps_only_agreeing_bits(rng):
+    """One network's outputs name B's first wire twice; another's are a
+    diagonal node D's input and its output, which the query path merges
+    into one class.  In both, two result bits read one wire."""
     a, b, d = (Generator("A", 0, 1), Generator("B", 1, 2),
                Generator("D", 1, 1))
     twice = MBN(CausalityGraph(0, (a, b), ((), (Wire(0, 1),)),
@@ -159,11 +159,7 @@ def _repeated_output_mbns(rng):
                  {"A": nets.stochastic_matrix(rng, 0, 1),
                   "D": TypedMatrix.diagonal([0.3, 0.8]),
                   "B": nets.substochastic_matrix(rng, 1, 2)})
-    return twice, merged
-
-
-def test_an_output_read_twice_keeps_only_agreeing_bits(rng):
-    for net in _repeated_output_mbns(rng):
+    for net in (twice, merged):
         want = eval_naive(net)
         mat, _, _ = scheduled_eliminate(net)
         assert mat.allclose(want, atol=1e-15)

@@ -10,6 +10,7 @@ sides and the number of pairs in which the change read lower.
 Next to the runs it records the plan of every query of round 0 of each
 workload at seed 0: ``max_factor_wires``, ``contractions``,
 ``grouped_steps``, ``swept`` (the wires summed inside their own factor),
+``stepped`` (the nodes applied to a held summary before it was asked),
 whether it read a summary (``summarized``), the node records its
 network's base keeps after it (``records``), the order width and the
 answer.  The perfbench per-layer counts are averaged over
@@ -134,6 +135,8 @@ def plans(checkout: Path) -> dict:
                 "grouped_steps": stats.grouped_steps,
                 # a checkout older than the count has no swept wires
                 "swept": getattr(stats, "swept", None),
+                # nor steps: it never steps a summary
+                "stepped": getattr(stats, "stepped", 0),
                 "summarized": stats.summarized, "records": records,
                 "width": order.width})
         out[workload] = queries

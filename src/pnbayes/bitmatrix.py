@@ -89,6 +89,10 @@ class TypedMatrix:
             # coordinates (rows, cols, values); a coordinate outside the
             # type, negative ones included, keeps a bit after the shift
             rows, cols, vals = sparse
+            if check and not len(rows) == len(cols) == len(vals):
+                raise InvalidArity(
+                    f"sparse coordinates of unequal length: {len(rows)} "
+                    f"rows, {len(cols)} columns, {len(vals)} values")
             if check and (np.any(np.right_shift(rows, self.out_arity))
                           or np.any(np.right_shift(cols, self.in_arity))):
                 raise InvalidArity("sparse coordinates outside the type")

@@ -86,7 +86,8 @@ def _print_stats(query: dict, width: int, stats) -> None:
                       "contractions": stats.contractions,
                       "swept": stats.swept,
                       "grouped": stats.grouped_steps > 0,
-                      "summarized": stats.summarized}))
+                      "summarized": stats.summarized,
+                      "stepped": stats.stepped}))
 
 
 def _cmd_query(args) -> int:

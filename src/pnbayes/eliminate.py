@@ -45,14 +45,21 @@ output classes, or when its elimination raises TooLarge; the base then
 keeps its node records.
 
 A network from ``mbn.attach_update`` holds its parent's base until its
-first query, which extends that base as it is by the new node, then sums
-the result out in turn.  Along an online chain each held base is the
-parent's summary, so a query plans and contracts about places plus one
-node's wires however long the trace.  Where the summary is refused, the
-new base takes the parent's node records over as they are, sharing their
-products; an older node that now keeps other targets asks for a product
-under its own key.  This is the interface (frontier) idea of filtering in
-dynamic Bayesian networks.
+first query.  When that base is a pure summary, the query steps it by the
+new node (``_Base.stepped``), the update applied to the knowledge before
+it: a diagonal F', or a 0-ary scalar, multiplies its table into the
+summary factors that meet its classes, and P' joins the factors over its
+sources and pushes them through its matrix in one product, the grouped
+step's.  No table over the node's targets is built and no order is
+planned, so along an online chain a query costs about one update over
+the places however long the trace.  This is forward filtering over the
+interface (frontier) of a dynamic Bayesian network.  A step whose factor
+would span more than BULK_NODE_BITS wires is refused.  The query then
+extends the held base as it is by the new node and sums the result out,
+as it does when the held base keeps node records because its own summary
+was refused: the new base takes the parent's node records over as they
+are, sharing their products, and an older node that now keeps other
+targets asks for a product under its own key.
 
 Nodes whose factor would span more than BULK_NODE_BITS wires (sparse
 update matrices over many places) are never tabulated, and neither is a
@@ -96,8 +103,10 @@ GROUP_NODE_BITS = 6
 # a node's matrix for a grouped step: (source wires, target wires, matrix
 # with rows over the targets and columns over the sources).  It stays in
 # coordinate form, duplicates and all: its one use, the product with a
-# dense block, sums them, and converting would cost more than the product
-_Grouped = tuple[tuple[Wire, ...], tuple[Wire, ...], sp.coo_matrix]
+# dense block, sums them, and converting would cost more than the product.
+# A step of a summary keeps a dense matrix as an ndarray (``_step_matrix``)
+_Grouped = tuple[tuple[Wire, ...], tuple[Wire, ...],
+                 Union[sp.coo_matrix, np.ndarray]]
 
 
 # -- factors ------------------------------------------------------------------
@@ -372,6 +381,25 @@ def _node_matrix(node: _Node, live: tuple[bool, ...],
     return tuple(ins), tuple(outs), reduced
 
 
+def _step_matrix(node: _Node, live: tuple[bool, ...],
+                 pinned: dict[Wire, int]) -> _Grouped:
+    """The node's matrix for a step of a summary, as ``_node_matrix``
+    gives it, in the layout its ``TypedMatrix`` keeps: an entry list goes
+    through coordinates, and a dense matrix whose targets are all live and
+    whose source classes are distinct stays an ndarray, its pinned sources
+    sliced.  A recorded non-diagonal node's targets are its own wires, so
+    none is pinned."""
+    mat = node.mat
+    if (mat.is_sparse or not all(live)
+            or len(set(node.src)) < len(node.src)):
+        return _node_matrix(node, live, pinned)
+    pick = tuple(pinned.get(w, slice(None)) for w in node.src)
+    table = mat.to_dense().reshape(
+        (1 << mat.out_arity,) + (2,) * mat.in_arity)[(slice(None),) + pick]
+    ins = tuple(w for w in node.src if w not in pinned)
+    return ins, node.tgt, table.reshape(table.shape[0], 1 << len(ins))
+
+
 # -- prepared elimination problems --------------------------------------------
 
 @dataclass
@@ -382,13 +410,16 @@ class ElimStats:
     (``_sweep_confined``), on either route; they are not contractions.
     ``summarized`` says whether the query planned over a summary of the
     network's history (``_Base.summarized``) instead of its node records
-    alone."""
+    alone.  ``stepped`` counts the nodes applied to a held summary
+    (``_Base.stepped``); a step is neither a contraction nor a grouped
+    step."""
 
     max_factor_wires: int = 0
     contractions: int = 0
     grouped_steps: int = 0
     swept: int = 0
     summarized: bool = False
+    stepped: int = 0
 
     def track(self, size: int) -> None:
         if size > self.max_factor_wires:
@@ -458,7 +489,8 @@ class _Base:
     they are left to be freed with the parent.
 
     A base may also hold ``summary`` factors: the network, or the older one
-    it extends, summed out to its output classes (see ``summarized``).
+    it extends, summed out to its output classes (see ``summarized``), or
+    an older summary stepped by the newer nodes (see ``stepped``).
     Every query multiplies them in as they are.  They are shared read-only
     and never folded by live flags, because a dropped output can sit in
     several of them; such a wire is simply eliminated.  A base with a
@@ -576,22 +608,89 @@ class _Base:
         from this base, so one not built yet is built and kept in it, as by
         any query; nothing already in the base changes.
         """
-        graph, rep = self.graph, self.rep
-        shown = graph.inputs() + graph.out
-        classes = {rep[w] for w in graph.out} - self.pinned.keys()
+        graph = self.graph
+        classes = {self.rep[w] for w in graph.out} - self.pinned.keys()
         if len(classes) > BULK_NODE_BITS:
             return None
         try:
             _, left, _ = _eliminate(self, graph.out, stats)
         except TooLarge:
             return None
-        left = _absorb(left)
-        for f in left:
+        return self._summarized_as(_absorb(left))
+
+    def stepped(self, stats: ElimStats) -> _Base | None:
+        """This base's summary stepped by its node records in turn, as a
+        base with no node records; None when a step is refused.
+
+        The base extends a pure summary (see ``_query_base``), so each
+        record is one update applied to the knowledge before it.  A
+        diagonal node, or one without targets (a 0-ary scalar), multiplies
+        its table into the summary factors that meet its classes, in one
+        join; a scalar joins the first factor.  Any other node joins the
+        factors that meet its sources and pushes them through its matrix in
+        one product (``_apply_lazy``, with the matrix of ``_step_matrix``):
+        its sources are summed out and its live targets take their place.
+        No node is tabulated over its targets and nothing is planned, so
+        factors that were disjoint stay so.
+
+        Before any join the steps are replayed over the factors' scopes, and
+        all are refused when a factor one builds would span more than
+        BULK_NODE_BITS wires, or when a node would sum out a class that the
+        network shows or a later node reads.  A wire left that the network
+        no longer shows is eliminated by each query, as in any summary.
+        Each step counts in ``stats.stepped`` and charges its widths to
+        ``stats.track``; none is a contraction.
+        """
+        graph, rep, pinned = self.graph, self.rep, self.pinned
+        shown = {rep[w] for w in graph.inputs() + graph.out}
+        kept = self.read | {rep[w] for w in graph.out}
+        nodes = list(self.nodes.values())
+        last = {w: i for i, node in enumerate(nodes) for w in node.src}
+        # the factors' scopes, kept in step with the factors the steps leave
+        scopes = [frozenset(f.wires) for f in self.summary]
+        steps = []
+        for i, node in enumerate(nodes):
+            live = tuple(w in kept for w in node.tgt)
+            ins = node.scope(pinned, ())
+            joins = node.diagonal or not node.tgt
+            hit = [k for k, s in enumerate(scopes) if s & ins]
+            if joins and not ins:
+                hit = [0]
+            left = joined = ins.union(*(scopes[k] for k in hit))
+            if not joins:
+                if any(w in shown or last[w] > i for w in ins):
+                    return None
+                left = (joined | node.scope(pinned, live)) - ins
+            if max(len(joined), len(left)) > BULK_NODE_BITS:
+                return None
+            scopes = [s for k, s in enumerate(scopes) if k not in hit]
+            scopes.append(left)
+            steps.append((node, live, joins, hit, tuple(sorted(left))))
+        factors = list(self.summary)
+        for node, live, joins, hit, wires in steps:
+            if joins:
+                group = [factors[k] for k in hit]
+                group.append(_node_factor(node, live, pinned))
+                factors = [f for k, f in enumerate(factors) if k not in hit]
+                factors.append(Factor(wires, _join(group, wires)))
+                stats.track(len(wires))
+            else:
+                # the factors meeting the sources are those of ``hit``
+                factors, _ = _apply_lazy(_step_matrix(node, live, pinned),
+                                         factors, stats)
+            stats.stepped += 1
+        return self._summarized_as(factors)
+
+    def _summarized_as(self, factors: list[Factor]) -> _Base:
+        """A copy of this base with ``factors`` as its read-only summary and
+        no node records, knowing only the network's inputs and outputs."""
+        graph, rep = self.graph, self.rep
+        for f in factors:
             f.table.flags.writeable = False
         base = copy.copy(self)
-        base.rep = {w: rep[w] for w in shown}
+        base.rep = {w: rep[w] for w in graph.inputs() + graph.out}
         base.read, base.nodes, base._built = set(), {}, {}
-        base.summary = tuple(left)
+        base.summary = tuple(factors)
         return base
 
     def problem(self, out: Sequence[Wire],
@@ -683,9 +782,11 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     Otherwise, and for a network that holds nothing, the base is built from
     the empty one.
 
-    The base so built is replaced at once by its own summary
-    (``summarized``), so this query and every later one plan over the
-    summary factors alone; a refused summary keeps the records.  Every
+    When the held base is a pure summary, the extension is stepped by its
+    new nodes (``stepped``).  Otherwise, or when a step is refused, the
+    base so built is replaced at once by its own summary (``summarized``).
+    Either way this query and every later one plan over the summary
+    factors alone; a refused summary keeps the records.  Every step and
     elimination run here is charged to ``stats``.  The new base replaces
     the held one, so a chain of networks keeps at most one older base
     alive.
@@ -696,7 +797,9 @@ def _query_base(net: MBN, stats: ElimStats) -> _Base:
     extends = held is not None and held._extends(net) and held._knows(net)
     base = _Base(net, merge_diagonal=True, query=True,
                  parent=held if extends else None)
-    base = base.summarized(stats) or base
+    stepped = extends and held.summary and not held.nodes and \
+        base.stepped(stats)
+    base = stepped or base.summarized(stats) or base
     # the network is frozen; its preparation is a cache beside its fields
     object.__setattr__(net, "preparation", base)
     return base
@@ -767,11 +870,14 @@ def _join(group: list[Factor], wires: tuple[Wire, ...]) -> np.ndarray:
 
 def _apply_lazy(matrix: _Grouped, factors: list[Factor], stats: ElimStats
                 ) -> tuple[list[Factor], tuple[Wire, ...]]:
-    """Contract one oversized node in a single grouped step.
+    """Push the factors meeting a node's inputs through its matrix in one
+    product: a grouped step of ``_run_hybrid``, or a step of
+    ``_Base.stepped``, each counted by its caller.
 
     Joins the factors meeting the node's inputs, sums all inputs out
-    through the node's ``matrix`` (from ``_Base.matrix``) and returns the
-    surviving factors plus the wires this step eliminated.
+    through the node's ``matrix`` (from ``_Base.matrix`` or
+    ``_step_matrix``) and returns the surviving factors plus the wires
+    this step eliminated.
     """
     ins, outs, reduced = matrix
     in_set = set(ins)
@@ -785,8 +891,6 @@ def _apply_lazy(matrix: _Grouped, factors: list[Factor], stats: ElimStats
     joined_wires = ins + passthrough
     joined = _join(touched, joined_wires)
     stats.track(len(joined_wires))
-    stats.contractions += 1
-    stats.grouped_steps += 1
     block = joined.reshape(1 << len(ins), -1)
     result = np.asarray(reduced @ block)
     stats.track(len(outs) + len(passthrough))
@@ -908,6 +1012,8 @@ def _run_hybrid(problem: _Problem, stats: ElimStats
         factors = _sweep_confined(factors, protected, eliminated, stats)
         factors, consumed = _apply_lazy(base.matrix(node.index, live),
                                         factors, stats)
+        stats.contractions += 1
+        stats.grouped_steps += 1
         eliminated.extend(consumed)
     done = set(eliminated)
     plan = _plan([frozenset(f.wires) for f in factors],
@@ -1039,8 +1145,9 @@ def scheduled_eliminate(net: MBN, places: Iterable[str] | None = None
     network, over any places, reuses it with every node table and
     grouped-step matrix built for it, each once per set of live targets.
     A network from ``attach_update`` extends the base its parent held
-    instead of building one from nothing.
-    The first call sums the network out to its output wires; that
+    instead of building one from nothing, and steps a held summary by its
+    new node (``stats.stepped``).
+    Otherwise the first call sums the network out to its output wires; that
     elimination runs in this call and counts in the returned stats
     (``contractions``, ``grouped_steps``, ``swept``, ``max_factor_wires``),
     so ``max_factor_wires`` may exceed the order's width.  A later call

@@ -19,10 +19,11 @@ Each step builds only the matrix it attaches, over those places alone.
 A network also carries its query preparation (``eliminate._Base``), built
 by its first prepared query.  Until then, a network returned by
 :func:`attach_update` holds the preparation its parent held, and its first
-query extends that by the new node instead of starting over, then sums
-the result out to its place wires.  Where the summary is narrow enough,
-the held preparation is the history summed out to its place wires, so the
-query's cost does not grow with the trace.
+query uses that instead of starting over.  Where the summary is narrow
+enough, the held preparation is the history summed out to its place
+wires, and the query steps it by the new node: F' multiplies in, and P'
+pushes it through its matrix.  So the query's cost does not grow with the
+trace.
 """
 from __future__ import annotations
 
@@ -304,13 +305,15 @@ def attach_update(net: MBN, up: UpdatePair, obs: str,
     without identity nodes.
 
     The result holds the query preparation ``net`` holds, copying nothing.
-    Its first prepared query extends that preparation by the new node, so
-    an observer who queries after every step builds each node factor once.
     Every network's first query sums it out to its place wires, unless it
     has more than ``eliminate.BULK_NODE_BITS`` unpinned place classes or
-    the summary raises TooLarge; so where ``net``
-    or an ancestor was queried, the new node reads summary factors over the
-    places, not the whole history.
+    the summary raises TooLarge.  So where ``net`` or an ancestor was
+    queried, the result's first query steps that summary by the new node:
+    the node's F' multiplies into the summary factors over its places, and
+    its P' pushes the factors over its places through its matrix, with no
+    table over the node's wires and no elimination order.  A step wider
+    than ``eliminate.BULK_NODE_BITS`` wires is refused; the query then
+    extends the held preparation by the new node and sums that out.
     """
     if obs not in OBSERVATIONS:
         raise ValidationError(f"unknown observation {obs!r}")

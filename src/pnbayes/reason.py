@@ -23,13 +23,18 @@ a query keeps).
 ``Posterior.marginals`` asks every place's marginal.  The preparation
 moves on with each step: ``Posterior.observe`` (like
 ``mbn.attach_update``, which it calls) hands it to the next network, whose
-first query adds the new node to the older history summed out to the
-place wires and sums that out in turn, so an observe chain carries only
-summaries.  An observer who queries after every step thus builds each
-node factor once per trace, and a query costs about the same at step 20
-as at step 1.  Where the summary is refused (more than
+first query steps the older summary by the new node, as the paper
+updates the observer's knowledge: F' multiplies into the summary factors
+over its places, and P' pushes the factors over its places through its
+matrix in one product.  No table over the node's wires is built and no
+elimination order is searched, so an observe chain carries only
+summaries, and a query costs about the same at step 20 as at step 1.  A
+step whose joined factor would span more than ``eliminate.BULK_NODE_BITS``
+wires is refused, and the query adds the new node to the older summary
+and sums that out instead.  Where the summary is refused (more than
 ``eliminate.BULK_NODE_BITS`` places, or TooLarge), the next network takes
-the older node records over instead.
+the older node records over instead, and builds each node factor once
+per trace.
 ``run`` builds no preparation along the way, so the first query on its
 posterior sums the whole trace out in one cut.
 
@@ -152,12 +157,16 @@ class Posterior:
     def observe(self, step: StepSpec, obs: str) -> Posterior:
         """The posterior after one more step observed as ``obs``.
 
-        Its network is this one with the step's update node attached.  Its
-        first query extends the preparation this posterior holds by that
-        node, as it is, and sums the result out to the place wires (writing
-        nothing into the held preparation); querying after every step thus
-        builds each node factor once and keeps the query over about places
-        plus one node's wires.  Where the summary is refused (more than
+        Its network is this one with the step's update node attached.  When
+        this posterior holds a summary, the first query of the new one
+        steps it by that node (writing nothing into the held preparation):
+        F' multiplies in, and P' pushes the summary factors over its places
+        through its matrix, with no table over the node's wires and no
+        elimination order.  Querying after every step thus keeps each query
+        about one update over the places.  A step wider than
+        ``eliminate.BULK_NODE_BITS`` wires is refused, and the query extends
+        the held summary by the node and sums the result out instead.
+        Where the summary is refused (more than
         ``eliminate.BULK_NODE_BITS`` places, or TooLarge), the preparation
         keeps node records, and the next posterior extends them, each older
         node building a table over the targets it now keeps.

@@ -197,6 +197,13 @@ def test_sparse_coordinates_outside_the_type_are_rejected(rows, cols):
         TypedMatrix(1, 1, sparse=(rows, cols, [0.5]))
 
 
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0], [0], [0.5, 0.25]), ([0, 1], [0], [0.5]), ([0], [0, 1], [0.5])])
+def test_sparse_coordinates_of_unequal_length_are_rejected(rows, cols, vals):
+    with pytest.raises(InvalidArity, match="unequal length"):
+        TypedMatrix(1, 1, sparse=(rows, cols, vals))
+
+
 def test_equality_of_large_sparse_matrices_reads_entries():
     """Equal 14 -> 14 matrices compare equal without the 2^28-entry dense
     table, across layouts too; one value apart, they differ."""

@@ -142,7 +142,7 @@ def test_query_stats_prints_one_json_line_per_query(tmp_path, capsys):
             "max_factor_wires": stats.max_factor_wires,
             "contractions": stats.contractions, "swept": stats.swept,
             "grouped": False,
-            "summarized": stats.summarized}
+            "summarized": stats.summarized, "stepped": stats.stepped}
 
     # a forced order reports that order's width
     assert main(["width", GOSSIP_TRACE]) == 0

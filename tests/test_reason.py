@@ -906,14 +906,248 @@ def test_a_summarized_posterior_is_extended_as_it_is(monkeypatch):
     child = posterior.observe(*trace.steps[-1])
     place = trace.net.places[0]
     raw, _, stats = child.query_stats([place])
-    # the parent's summary is not eliminated again: one run sums out the
-    # base that extends it by one record, one answers over the result
-    assert len(runs) == 2 and stats.summarized
-    extended, base = runs[0][0], child.mbn.preparation
-    assert extended.summary is summary.summary and len(extended.nodes) == 1
-    assert runs[1][0] is base and base.summary and not base.nodes
+    # the parent's summary is not eliminated again: it is stepped by the one
+    # new node, and one run answers over the result
+    assert stats.stepped == 1 and len(runs) == 1 and stats.summarized
+    base = child.mbn.preparation
+    assert runs[0][0] is base and base.summary and not base.nodes
+    # the factors the step did not touch are the parent's, as they are; the
+    # ones it touched became one
+    shared = [f for f in base.summary
+              if any(f is g for g in summary.summary)]
+    assert len(shared) == len(base.summary) - 1
     want_raw, _, _ = run(trace).query_stats([place])
     assert np.allclose(raw.data, want_raw.data, rtol=1e-12, atol=0.0)
+
+
+# -- an observe child steps its parent's summary -------------------------------
+
+def _assert_stepped_answers(posterior, trace):
+    """``posterior``, the end of an observe chain over ``trace``, answers
+    every place's marginal and the mass as the dense oracle and as ``run``
+    on the same trace do, to 1e-12; on a zero-mass trace every marginal
+    raises InconsistentEvidence on all three."""
+    dense, want = dense_posterior(trace), run(trace)
+    mass = posterior.mass()
+    assert mass == pytest.approx(dense.mass(), rel=1e-12, abs=0.0)
+    assert mass == pytest.approx(want.mass(), rel=1e-12, abs=0.0)
+    for place in trace.net.places:
+        if dense.mass() == 0.0:
+            for impossible in (posterior, want):
+                with pytest.raises(InconsistentEvidence):
+                    impossible.marginal([place])
+            continue
+        got = posterior.marginal([place])
+        oracle = normalize(marginal_of(dense, trace.net, [place]))
+        assert got.allclose(oracle, atol=1e-12)
+        assert got.allclose(want.marginal([place]), atol=1e-12)
+
+
+def _stepped_chain(trace, start, asked=()):
+    """The posterior after ``trace``: ``run`` over its first ``start``
+    steps, summarized by a mass query, then ``observe`` over the rest, each
+    asked ``asked`` at once; returns it with the stats of those queries."""
+    posterior = run(ObservationTrace(trace.net, trace.prior,
+                                     trace.steps[:start]))
+    posterior.mass()
+    stats = []
+    for step, obs in trace.steps[start:]:
+        held = posterior.mbn.preparation
+        assert held.summary and not held.nodes
+        posterior = posterior.observe(step, obs)
+        stats.append(posterior.query_stats(asked)[2])
+    return posterior, stats
+
+
+def _chain_net(width):
+    """Places ``p0`` .. on a line, ``t_i`` moving a token from ``p_i`` to
+    ``p_i+1``; ``spawn`` marks ``p0`` from nothing."""
+    places = tuple(f"p{i}" for i in range(width))
+    moves = tuple((f"t{i}", (places[i],), (places[i + 1],))
+                  for i in range(width - 1))
+    return CENet(places, (("spawn", (), (places[0],)),) + moves)
+
+
+def test_a_failure_without_pre_places_steps_a_scalar():
+    net = _chain_net(4)
+    prior = PriorSpec(marginals=tuple((p, 0.4 + 0.1 * i)
+                                      for i, p in enumerate(net.places)))
+    spawn = StepSpec("independent", {"spawn": 0.3, "fail": 0.7})
+    steps = ((StepSpec("independent", {"t0": 0.5, "t2": 0.3, "fail": 0.2}),
+              "success"), (spawn, "failure"), (spawn, "failure"))
+    trace = ObservationTrace(net, prior, steps)
+    posterior, stats = _stepped_chain(trace, 1)
+    # the failures' support reads no place: F' is a 0 -> 0 scalar below 1,
+    # which joins the summary as it is
+    for name in posterior.mbn.ev:
+        if name.endswith("fail"):
+            mat = posterior.mbn.ev[name]
+            assert (mat.in_arity, mat.out_arity) == (0, 0)
+            assert mat.entry(0) == pytest.approx(0.7)
+    assert [s.stepped for s in stats] == [1, 1]
+    # each scalar joined a factor over places; none is left on its own
+    assert all(f.wires for f in posterior.mbn.preparation.summary)
+    _assert_stepped_answers(posterior, trace)
+
+
+@pytest.mark.parametrize("width", [4, 9])
+def test_a_success_reads_a_pinned_place_through_the_step(width):
+    net = _chain_net(width)
+    # p0 and p1 are point masses, pinned before the step
+    prior = PriorSpec(marginals=(("p0", 1.0), ("p1", 0.0)) + tuple(
+        (p, 0.3 + 0.05 * i) for i, p in enumerate(net.places[2:])))
+    moves = {f"t{i}": 0.5 + 0.04 * i for i in range(width - 1)}
+    trace = ObservationTrace(net, prior, (
+        (StepSpec("stochastic", moves), "success"),
+        (StepSpec("independent", {"t1": 0.4, "fail": 0.6}), "success")))
+    parent = run(ObservationTrace(net, prior, ()))
+    parent.mass()
+    assert len(parent.mbn.preparation.pinned) == 2
+    posterior, stats = _stepped_chain(trace, 0, ["p1"])
+    # the first success reads every place, the pinned ones included; P'
+    # over 9 places is kept as its entry list, over 4 as an array
+    first = posterior.mbn.ev[posterior.mbn.graph.gens[width].name]
+    assert first.in_arity == width
+    assert first.is_sparse == (width == 9)
+    assert [s.stepped for s in stats] == [1, 1]
+    assert all(s.contractions == 0 for s in stats)
+    _assert_stepped_answers(posterior, trace)
+
+
+def test_two_updates_attached_between_queries_step_in_turn(rng):
+    for k in range(4):
+        trace = random_trace(rng, places=6, transitions=8, steps=6,
+                             semantics="stochastic" if k % 2 else
+                             "independent")
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        posterior.mass()
+        for n in range(2, len(trace.steps) + 1, 2):
+            for step, obs in trace.steps[n - 2:n]:
+                posterior = posterior.observe(step, obs)
+            _, _, stats = posterior.query_stats([trace.net.places[n % 6]])
+            assert stats.stepped == 2 and stats.contractions == 0
+            assert not posterior.mbn.preparation.nodes
+            _assert_stepped_answers(posterior, ObservationTrace(
+                trace.net, trace.prior, trace.steps[:n]))
+
+
+@pytest.mark.parametrize("impossible", ["scalar", "success"])
+def test_a_zero_probability_chain_still_raises(impossible):
+    net = _chain_net(4)
+    prior = PriorSpec(marginals=(("p0", 0.5), ("p1", 0.0), ("p2", 0.5),
+                                 ("p3", 0.5)))
+    zero = {
+        # spawn is always enabled and always drawn, so a failure is
+        # impossible: F' is the scalar 0
+        "scalar": (StepSpec("stochastic", {"spawn": 1.0}), "failure"),
+        # p1 is empty, so t1 cannot fire: P' sends every marking to 0
+        "success": (StepSpec("stochastic", {"t1": 1.0}), "success"),
+    }[impossible]
+    steps = ((StepSpec("independent", {"t0": 0.5, "fail": 0.5}), "failure"),
+             zero,
+             (StepSpec("independent", {"t2": 0.5, "fail": 0.5}), "success"))
+    for end in (2, 3):
+        trace = ObservationTrace(net, prior, steps[:end])
+        posterior, stats = _stepped_chain(trace, 1)
+        assert all(s.stepped == 1 for s in stats)
+        assert posterior.mass() == 0.0
+        _assert_stepped_answers(posterior, trace)
+
+
+def test_a_step_refused_for_width_falls_back_to_the_summary_route(
+        monkeypatch):
+    trace = _sweep_trace()
+    posterior, _ = _stepped_chain(ObservationTrace(
+        trace.net, trace.prior, trace.steps[:2]), 1)
+    # the summary after the sweep joins all 12 places in one factor, and a
+    # step may build no factor over more than BULK_NODE_BITS wires
+    assert max(len(f.wires) for f in posterior.mbn.preparation.summary) \
+        == 12
+    monkeypatch.setattr(eliminate, "BULK_NODE_BITS", 11)
+    tries = []
+    summarized = eliminate._Base.summarized
+
+    def counted(self, stats):
+        got = summarized(self, stats)
+        tries.append(got)
+        return got
+    monkeypatch.setattr(eliminate._Base, "summarized", counted)
+    held = posterior.mbn.preparation
+    posterior = posterior.observe(*trace.steps[2])
+    _, _, stats = posterior.query_stats(["p0"])
+    # refused, the step leaves the route as it was: the extension is
+    # summed out, and that summary, over 12 place classes, is refused too,
+    # so the base keeps the records
+    assert stats.stepped == 0 and tries == [None]
+    base = posterior.mbn.preparation
+    assert base.summary is held.summary and len(base.nodes) == 1
+    _assert_stepped_answers(posterior, ObservationTrace(
+        trace.net, trace.prior, trace.steps[:3]))
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("replaces", 1), ("dead", 1), ("shared", 0), ("shown", 0)])
+def test_a_step_never_sums_out_a_class_the_network_still_needs(
+        gossip_net, gossip_step, case, steps):
+    """Children built by hand on a summarized parent, each adding 1 -> 1
+    flips: a flip whose output replaces its source's place, or is dropped,
+    is stepped; one whose source stays an output, or is read by a later
+    flip too, is refused before any join, and the child is summed out as
+    a whole.  Every child answers as naive evaluation to 1e-12."""
+    parent = attach_update(uniform_prior(gossip_net),
+                           build_update(gossip_net, gossip_step), "success")
+    scheduled_eliminate(parent)
+    held = parent.preparation
+    assert held.summary and not held.nodes
+    graph, v = parent.graph, parent.graph.node_count
+    first, rest = graph.out[0], graph.out[1:]
+    sources, out = {
+        "replaces": ([first], (Wire(v, 1),) + rest),
+        "dead": ([first], rest),
+        "shared": ([first, first], (Wire(v, 1), Wire(v + 1, 1)) + rest),
+        "shown": ([first], graph.out + (Wire(v, 1),)),
+    }[case]
+    flip = TypedMatrix(1, 1, dense=np.array([[0.9, 0.2], [0.1, 0.8]]))
+    names = [f"flip{k}" for k in range(len(sources))]
+    child = MBN(CausalityGraph(
+        0, graph.gens + tuple(Generator(n, 1, 1) for n in names),
+        graph.sources + tuple((w,) for w in sources), out),
+        {**parent.ev, **dict.fromkeys(names, flip)}, None, held)
+    mat, _, stats = scheduled_eliminate(child)
+    assert stats.stepped == steps
+    assert not child.preparation.nodes
+    assert mat.allclose(eval_naive(child), atol=1e-12)
+
+
+def test_an_observe_child_steps_without_a_node_table_or_an_order(
+        rng, monkeypatch):
+    counts = _count_tabulations(monkeypatch)
+    orders = []
+    greedy = eliminate._greedy_order
+
+    def counted(*args):
+        orders.append(args)
+        return greedy(*args)
+    monkeypatch.setattr(eliminate, "_greedy_order", counted)
+    successes = 0
+    for k in range(4):
+        trace = random_trace(rng, places=7, transitions=9, steps=8,
+                             semantics="stochastic" if k % 2 else
+                             "independent")
+        posterior = run(ObservationTrace(trace.net, trace.prior, ()))
+        posterior.mass()
+        for n, (step, obs) in enumerate(trace.steps, 1):
+            posterior = posterior.observe(step, obs)
+            counts.clear()
+            orders.clear()
+            _, _, stats = posterior.query_stats([trace.net.places[n % 7]])
+            assert stats.stepped == 1 and not orders
+            index = posterior.mbn.graph.node_count - 1
+            if obs == "success":
+                successes += 1
+                assert ("_node_factor", index) not in counts
+        _assert_stepped_answers(posterior, trace)
+    assert successes >= 8
 
 
 def test_observe_matches_run_on_the_extended_trace(rng):
